@@ -25,7 +25,8 @@ from .scattering import (JostPair, ScanSummary, ScatteringMatch,
                          WronskianReport, match_n_body, match_two_body,
                          momentum_sampler, pair_factors, sample_momenta,
                          ss_scan, transfer_matrix, transmission_sweep,
-                         wronskian, wronskian_product_form, wronskian_report)
+                         transmission_trend, wronskian,
+                         wronskian_product_form, wronskian_report)
 from .specialfn import (BesselEval, bessel_asymptotic, bessel_eval, bessel_j,
                         bessel_j_prime, gamma)
 from .wavefunction import (Configuration, MomentumSet, SuperpositionCoeffs,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .errors import (AccuracyLossError, CalogeroError, CouplingRangeError,
 from .model import CouplingParams, Validity, solve_nu_prime
 from .polynomials import solve_generalized_laplace
 from .scattering import (match_n_body, match_two_body, momentum_sampler,
-                         ss_scan, transmission_sweep,
+                         ss_scan, transmission_trend,
                          transmitted_coefficient_readings)
 from .svgplot import render_line_plot
 from .wavefunction import (SuperpositionCoeffs, make_scattering_state,
@@ -37,8 +36,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_SS_FOUND = 5
 EXIT_CHECK_FAILED = 6
-
-THREADS_ENV = "CALOGERO_SS_THREADS"
 
 SCAN_HEADER = "sample,p,min_pair_factor,min_w_magnitude,m22_status,ss_verdict"
 COEFFS_HEADER = ("p,r_minus,r_plus,re_A,im_A,re_B,im_B,re_D,im_D,R,T,"
@@ -58,21 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _f17(x: float) -> str:
     return f"{x:.17e}"
-
-
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, "
-                         f"got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, "
-                         f"got {raw!r}")
-    return value
 
 
 def _params_from_args(args) -> CouplingParams:
@@ -143,15 +125,13 @@ def cmd_scan(args) -> int:
     params = CouplingParams.from_exponent(args.n, args.nu_prime, args.delta)
     sampler = momentum_sampler(args.n, args.p_min, args.p_max, args.seed)
     summary = ss_scan(args.n, sampler, args.samples, tol=args.tol,
-                      params=params, max_workers=_max_workers())
+                      params=params)
     rows = []
     for idx, rep in enumerate(summary.reports):
-        n = len(rep.pair_factors)
-        live = [i for i in range(n) if i != n - 1 - i]
-        min_factor = min(abs(rep.pair_factors[i]) for i in live)
-        min_w = min(rep.w_magnitudes[i] for i in live)
+        # min_w_magnitude is |M22| times the pairing factor, with M22 = 1
+        min_factor = _f17(rep.min_pair_factor)
         rows.append(",".join([
-            str(idx), _f17(rep.pset.p), _f17(min_factor), _f17(min_w),
+            str(idx), _f17(rep.pset.p), min_factor, min_factor,
             rep.m22_status, "true" if rep.ss_verdict else "false"]))
     metadata = _convention_metadata(args)
     metadata.update({
@@ -185,7 +165,7 @@ def _coeffs_row(params: CouplingParams, args, p: float, r_minus: float,
     if args.k:
         entries[(args.k, 1)] = 0.6 + 0j
     coeffs = SuperpositionCoeffs.for_params(params, entries)
-    pset = _symmetric_pset(params.n_particles, p)
+    pset = reference_momentum_set(params.n_particles, p)
     m = match_n_body(params, pset, coeffs, r_minus)
     nan = float("nan")
     row = ",".join([
@@ -193,10 +173,6 @@ def _coeffs_row(params: CouplingParams, args, p: float, r_minus: float,
         _f17(m.a1.real), _f17(m.a1.imag), _f17(m.b1.real), _f17(m.b1.imag),
         _f17(nan), _f17(nan), _f17(m.reflection), _f17(nan), _f17(nan)])
     return row, {"match": m}
-
-
-def _symmetric_pset(n: int, p: float):
-    return reference_momentum_set(n, p)
 
 
 def cmd_coeffs(args) -> int:
@@ -260,12 +236,12 @@ def cmd_sweep(args) -> int:
 
     check_failed = False
     if args.param == "r-minus" and params.n_particles == 2:
-        sweep = transmission_sweep(params, args.p, grid, args.r_plus)
+        trend = transmission_trend(grid, column_values["T"])
         metadata["trend_claim"] = "transmission_vanishes_at_large_r_minus"
-        metadata["trend_slope"] = _f17(sweep.trend.fitted_slope)
-        metadata["trend_decayed"] = "true" if sweep.trend.decayed else "false"
-        if sweep.trend.discrepancy is not None:
-            disc = sweep.trend.discrepancy
+        metadata["trend_slope"] = _f17(trend.fitted_slope)
+        metadata["trend_decayed"] = "true" if trend.decayed else "false"
+        if trend.discrepancy is not None:
+            disc = trend.discrepancy
             metadata["trend_discrepancy"] = (
                 f"slope={_f17(disc.fitted_slope)};"
                 f"envelope_first={_f17(disc.envelope_first)};"
@@ -283,11 +259,8 @@ def cmd_sweep(args) -> int:
             y_label=args.plot_column,
             title=f"{args.plot_column} vs {args.param}",
             log_x=args.log, metadata=metadata)
-        try:
-            with open(args.plot, "w", newline="") as fh:
-                fh.write(svg)
-        except OSError:
-            raise
+        with open(args.plot, "w", newline="") as fh:
+            fh.write(svg)
     if check_failed:
         print("sweep: expected-trend check failed "
               "(transmission does not vanish); see metadata",
@@ -324,7 +297,7 @@ def cmd_residual(args) -> int:
         samples = [tuple(float(c) for c in row) for row in doc["configs"]]
     else:
         samples = _builtin_samples(args.n, args.seed)
-    pset = _symmetric_pset(args.n, args.p)
+    pset = reference_momentum_set(args.n, args.p)
     psi = make_scattering_state(params, pset, args.k)
     energy = state_energy(pset)
     res_h, res_h2, ratio = residual_convergence(psi, energy, samples, params,

@@ -17,18 +17,16 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (DegenerateEnvelopeError, DomainError,
                      NumericalFailureError)
 from .model import CouplingParams, radial_indices
-from .specialfn import bessel_j, bessel_j_prime
-from .wavefunction import (MomentumSet, ground_state, laplace_solutions,
-                           radial_coordinate)
 from .polynomials import evaluate_poly
-from .wavefunction import SuperpositionCoeffs
+from .specialfn import bessel_j, bessel_j_prime
+from .wavefunction import (MomentumSet, SuperpositionCoeffs, ground_state,
+                           laplace_solutions, radial_coordinate)
 
 SS_TOLERANCE = 1e-10
 DIVERGENT_TOL = 1e-12
@@ -50,23 +48,16 @@ M22_DIVERGENT = "Divergent"
 class JostPair:
     """Asymptotic plane-wave descriptors of the two Jost solutions.
 
-    psi_plus -> exp(i sum p_j x_j) at large positive separations (its
-    defining normalization); psi_minus, defined by the reversed-momentum
+    psi_+ -> exp(i sum p_j x_j) at large positive separations (its
+    defining normalization); psi_-, defined by the reversed-momentum
     wave e^(i pi phi) exp(i sum x_j p_{N+1-j}) at large negative
-    separations, continues to the positive side with transfer coefficients
-    (m12, m22).
+    separations, continues to the positive side as
+    m12 psi_+ + m22 e^(i pi phi) exp(i sum x_j p_{N+1-j}).
     """
     pset: MomentumSet
     phi: float
     m12: complex = 0j
     m22: complex = 1.0 + 0j
-
-    def psi_plus(self, coords: Sequence[float]) -> complex:
-        return _forward_wave(self.pset, coords)
-
-    def psi_minus(self, coords: Sequence[float]) -> complex:
-        return self.m12 * _forward_wave(self.pset, coords) \
-            + self.m22 * _reversed_wave(self.pset, self.phi, coords)
 
 
 def _forward_wave(pset: MomentumSet, coords: Sequence[float]) -> complex:
@@ -160,63 +151,51 @@ def momentum_sampler(n: int, p_min: float, p_max: float,
 
 @dataclass(frozen=True)
 class WronskianReport:
-    """Per-sample Wronskian factors and the singularity verdict.
+    """Per-sample pairing factors and the singularity verdict.
 
-    w_magnitudes are |W| per direction at the evaluation configuration
-    (pure phases there, so |W_i| = |M22| |p_i - p_{N+1-i}|); the verdict
-    normalizes by |M22| |p_1 - p_N| and requires every non-degenerate
-    direction below tolerance.  Self-paired middle directions of odd N
-    vanish structurally and are excluded from the verdict.
+    By the factorization above |W_i| = |M22| |p_i - p_{N+1-i}| in every
+    direction, so the verdict normalizes by |M22| |p_1 - p_N| and needs
+    only the pairing factors: it requires every live direction below
+    tolerance and M22 != 0.  Self-paired middle directions of odd N vanish
+    structurally; they are reported in pair_factors but are not live.
+    min_pair_factor is the smallest live |factor|.
     """
     pset: MomentumSet
     pair_factors: tuple[float, ...]
+    min_pair_factor: float
     m22_status: str
-    w_magnitudes: tuple[float, ...]
     ss_verdict: bool
 
 
-def _evaluation_configuration(n: int) -> tuple[float, ...]:
-    # asymptotic-regime representative: large, well separated, descending
-    return tuple(100.0 + 10.0 * (n - j) for j in range(n))
-
-
-def wronskian_report(pset: MomentumSet, phi: float,
+def wronskian_report(pset: MomentumSet,
                      m22_status: str = M22_FINITE_NONZERO,
                      tol: float = SS_TOLERANCE) -> WronskianReport:
-    jost = JostPair(pset, phi)
-    coords = _evaluation_configuration(pset.n)
-    n = pset.n
-    mags = tuple(abs(wronskian(jost, coords, i)) for i in range(1, n + 1))
     factors = pair_factors(pset)
+    n = len(factors)
+    live = [abs(factors[i]) for i in range(n) if i != n - 1 - i]
     spread = abs(factors[0])  # |p_1 - p_N|
     if spread == 0.0:
         # sorted sum-zero with zero spread means all momenta vanish
         verdict = True
     else:
-        verdict = True
-        for i in range(n):
-            if i == n - 1 - i:
-                continue  # structurally zero self-pairing
-            if mags[i] / (spread * abs(jost.m22)) >= tol:
-                verdict = False
-                break
-        if m22_status == M22_ZERO:
-            verdict = False  # cannot rescue: excluded by finite reflection
+        # a Zero M22 cannot rescue a verdict: excluded by finite reflection
+        verdict = m22_status != M22_ZERO \
+            and all(f / spread < tol for f in live)
     return WronskianReport(pset=pset, pair_factors=factors,
-                           m22_status=m22_status, w_magnitudes=mags,
-                           ss_verdict=verdict)
+                           min_pair_factor=min(live),
+                           m22_status=m22_status, ss_verdict=verdict)
 
 
 @dataclass(frozen=True)
 class ScanSummary:
     reports: tuple[WronskianReport, ...]
-    min_pair_factor: float     # min over samples of min non-degenerate |factor|
+    min_pair_factor: float     # min over samples of the report minima
     ss_count: int
 
 
 def ss_scan(n: int, sampler: Callable[[], MomentumSet], n_samples: int,
-            tol: float = SS_TOLERANCE, params: CouplingParams | None = None,
-            max_workers: int = 1) -> ScanSummary:
+            tol: float = SS_TOLERANCE,
+            params: CouplingParams | None = None) -> ScanSummary:
     """Seeded nonexistence sweep; one report per sample, in sample order."""
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
@@ -224,28 +203,16 @@ def ss_scan(n: int, sampler: Callable[[], MomentumSet], n_samples: int,
         params = CouplingParams.from_exponent(n, 1.0, 0.5)
     if params.n_particles != n:
         raise DomainError("params particle count must match n")
-    phi = radial_indices(params, 0).phi
     status = transfer_status(params)
     psets = [sampler() for _ in range(n_samples)]
     for ps in psets:
         if ps.n != n:
             raise DomainError("sampler produced wrong particle count")
-
-    def work(ps: MomentumSet) -> WronskianReport:
-        return wronskian_report(ps, phi, status, tol)
-
-    if max_workers > 1 and n_samples:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = tuple(pool.map(work, psets))
-    else:
-        reports = tuple(work(ps) for ps in psets)
-    min_factor = math.inf
-    for rep in reports:
-        nn = len(rep.pair_factors)
-        for i, f in enumerate(rep.pair_factors):
-            if i != nn - 1 - i:
-                min_factor = min(min_factor, abs(f))
-    return ScanSummary(reports=reports, min_pair_factor=min_factor,
+    reports = tuple(wronskian_report(ps, status, tol) for ps in psets)
+    return ScanSummary(reports=reports,
+                       min_pair_factor=min((r.min_pair_factor
+                                            for r in reports),
+                                           default=math.inf),
                        ss_count=sum(r.ss_verdict for r in reports))
 
 
@@ -515,25 +482,21 @@ class TransmissionSweep:
     trend: TrendSummary
 
 
-def transmission_sweep(params: CouplingParams, p: float,
-                       r_minus_values: Sequence[float],
-                       r_plus: float) -> TransmissionSweep:
-    """T(r_-) rows plus an upper-envelope trend check of the decay claim."""
+def transmission_trend(r_minus_values: Sequence[float],
+                       transmissions: Sequence[float]) -> TrendSummary:
+    """Upper-envelope trend check of the decay claim over T(r_-)."""
     values = list(r_minus_values)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError("r_minus values must be strictly increasing")
-    rows = tuple((rm, match_two_body(params, p, rm, r_plus))
-                 for rm in values)
-    ts = [m.transmission for _, m in rows]
     # upper envelope of the tail: max of T over j >= i
     env = []
     running = 0.0
-    for t in reversed(ts):
+    for t in reversed(transmissions):
         running = max(running, t)
         env.append(running)
     env.reverse()
     logs = [(math.log(rm), math.log(max(e, 1e-300)))
-            for (rm, _), e in zip(rows, env)]
+            for rm, e in zip(values, env)]
     slope = _lsq_slope(logs) if len(logs) >= 2 else 0.0
     first, last = env[0], env[-1]
     decayed = slope <= DECAY_SLOPE_MAX and first >= DECAY_DROP_MIN * last
@@ -545,9 +508,18 @@ def transmission_sweep(params: CouplingParams, p: float,
             r_first=values[0], r_last=values[-1],
             note="upper envelope of T(r_-) does not decay as claimed; "
                  "rows retained for inspection")
-    return TransmissionSweep(rows=rows,
-                             trend=TrendSummary(slope, first, last, decayed,
-                                                discrepancy))
+    return TrendSummary(slope, first, last, decayed, discrepancy)
+
+
+def transmission_sweep(params: CouplingParams, p: float,
+                       r_minus_values: Sequence[float],
+                       r_plus: float) -> TransmissionSweep:
+    """T(r_-) rows plus the trend check of the decay claim."""
+    rows = tuple((rm, match_two_body(params, p, rm, r_plus))
+                 for rm in r_minus_values)
+    return TransmissionSweep(
+        rows=rows, trend=transmission_trend(
+            [rm for rm, _ in rows], [m.transmission for _, m in rows]))
 
 
 def _lsq_slope(points: Sequence[tuple[float, float]]) -> float:

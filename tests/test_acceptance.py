@@ -72,7 +72,7 @@ def test_criterion_03_ss_nonexistence_sweep():
         assert summary.min_pair_factor > 0.0
     # the unique degenerate point: all momenta zero gives W = 0 exactly
     zero = MomentumSet.from_momenta((0.0,) * 3)
-    rep = wronskian_report(zero, phi=-3.0)
+    rep = wronskian_report(zero)
     assert rep.ss_verdict
     jost = JostPair(zero, phi=-3.0)
     for i in (1, 2, 3):

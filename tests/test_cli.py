@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import calogero_ss.cli as cli
+import calogero_ss.scattering as scattering
 from calogero_ss.cli import (COEFFS_HEADER, EXIT_CHECK_FAILED,
                              EXIT_COUPLINGS, EXIT_IO, EXIT_OK, EXIT_SS_FOUND,
                              EXIT_USAGE, SCAN_HEADER, main)
@@ -74,13 +75,12 @@ class TestScan:
         # the model admits no singular sample; force the reporting path
         real = cli.ss_scan
 
-        def fake(n, sampler, n_samples, tol, params, max_workers):
-            summary = real(n, sampler, n_samples, tol=tol, params=params,
-                           max_workers=max_workers)
+        def fake(n, sampler, n_samples, tol, params):
+            summary = real(n, sampler, n_samples, tol=tol, params=params)
             reports = tuple(
                 r.__class__(pset=r.pset, pair_factors=r.pair_factors,
-                            m22_status=r.m22_status,
-                            w_magnitudes=r.w_magnitudes, ss_verdict=True)
+                            min_pair_factor=r.min_pair_factor,
+                            m22_status=r.m22_status, ss_verdict=True)
                 for r in summary.reports)
             return ScanSummary(reports, summary.min_pair_factor,
                                len(reports))
@@ -90,6 +90,14 @@ class TestScan:
                          "--p-max", "5", "--seed", "1",
                          "--out", str(tmp_path / "s.csv"))
         assert code == EXIT_SS_FOUND
+
+    def test_min_w_magnitude_is_min_pair_factor(self, capsys, tmp_path):
+        out_file = tmp_path / "scan.csv"
+        run(capsys, "scan", "--n", "5", "--samples", "50", "--p-max", "10",
+            "--seed", "7", "--out", str(out_file))
+        body = [ln.split(",") for ln in out_file.read_text().splitlines()
+                if not ln.startswith("#")]
+        assert all(row[2] == row[3] for row in body[1:])
 
     def test_io_failure(self, capsys):
         code, _, err = run(capsys, "scan", "--n", "2", "--samples", "1",
@@ -148,6 +156,25 @@ class TestSweep:
         assert "# trend_discrepancy=" in text
         body = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert len(body) == 1 + 4
+
+    def test_one_match_per_r_minus_point(self, capsys, tmp_path,
+                                         monkeypatch):
+        calls = []
+        real = scattering.match_two_body
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "match_two_body", counted)
+        monkeypatch.setattr(scattering, "match_two_body", counted)
+        code, _, _ = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
+                         "--delta", "0.5", "--param", "r-minus",
+                         "--from", "10", "--to", "10000", "--steps", "5",
+                         "--log", "--p", "1", "--r-plus", "5",
+                         "--out", str(tmp_path / "sweep.csv"))
+        assert code == EXIT_CHECK_FAILED
+        assert len(calls) == 5
 
     def test_rows_match_coeffs(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -283,23 +310,6 @@ class TestConfigAndEnv:
                          "--g", "0", "--delta", "0")
         assert code == EXIT_USAGE
 
-    def test_threads_env_invalid(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("CALOGERO_SS_THREADS", "zero")
-        code, _, _ = run(capsys, "scan", "--n", "2", "--samples", "1",
-                         "--p-max", "5", "--seed", "1",
-                         "--out", str(tmp_path / "s.csv"))
-        assert code == EXIT_USAGE
-
-    def test_threads_env_matches_serial(self, capsys, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["scan", "--n", "3", "--samples", "40", "--p-max", "5",
-                "--seed", "9"]
-        monkeypatch.delenv("CALOGERO_SS_THREADS", raising=False)
-        main(args + ["--out", str(a)])
-        monkeypatch.setenv("CALOGERO_SS_THREADS", "4")
-        main(args + ["--out", str(b)])
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
 
 
 def test_console_script_installed():

@@ -10,7 +10,7 @@ from conftest import symmetric_pset
 from calogero_ss.errors import (DegenerateEnvelopeError, DomainError)
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
-                                    JostPair, ScanSummary, TrendDiscrepancy,
+                                    M22_ZERO, JostPair, ScanSummary, TrendDiscrepancy,
                                     match_n_body, match_two_body,
                                     momentum_sampler, pair_factors,
                                     sample_momenta, ss_scan,
@@ -122,22 +122,45 @@ class TestScan:
 
     def test_middle_direction_reported_not_decisive(self):
         pset = MomentumSet.from_momenta((-1.0, 0.0, 1.0))
-        rep = wronskian_report(pset, phi=-3.0)
+        rep = wronskian_report(pset)
         assert rep.pair_factors == (-2.0, 0.0, 2.0)
-        assert rep.w_magnitudes[1] == pytest.approx(0.0, abs=1e-15)
+        # the zero middle factor is reported but is not the live minimum
+        assert rep.min_pair_factor == 2.0
         assert not rep.ss_verdict
 
     def test_degenerate_point_verdict(self):
-        rep = wronskian_report(MomentumSet.from_momenta((0.0, 0.0)), phi=-1.0)
+        rep = wronskian_report(MomentumSet.from_momenta((0.0, 0.0)))
         assert rep.ss_verdict
-        assert all(m == 0.0 for m in rep.w_magnitudes)
+        assert all(f == 0.0 for f in rep.pair_factors)
+        assert rep.min_pair_factor == 0.0
 
-    def test_parallel_matches_serial(self):
-        serial = ss_scan(2, momentum_sampler(2, 0.01, 10.0, seed=5), 100,
-                         max_workers=1)
-        parallel = ss_scan(2, momentum_sampler(2, 0.01, 10.0, seed=5), 100,
-                           max_workers=4)
-        assert serial == parallel
+    @pytest.mark.parametrize("tol", [1e-10, 0.3, 0.8, 1.5])
+    def test_verdict_matches_wronskian_rule(self, tol):
+        # oracle: the verdict the scan used to compute from |W| at a far
+        # configuration with the Jost normalization M22 = 1
+        rng = random.Random(4242)
+        psets = [sample_momenta(n, rng, rng.uniform(0.01, 10.0))
+                 for n in range(2, 7) for _ in range(220)]
+        psets += [MomentumSet.from_momenta((0.0,) * n) for n in range(2, 7)]
+        for pset in psets:
+            n = pset.n
+            jost = JostPair(pset, phi=rng.uniform(-6.0, 0.0))
+            coords = tuple(100.0 + 10.0 * (n - j) for j in range(n))
+            live = [i for i in range(1, n + 1) if i != n + 1 - i]
+            spread = abs(pset.momenta[0] - pset.momenta[-1])
+            for status in (M22_FINITE_NONZERO, M22_ZERO):
+                if spread == 0.0:
+                    old = True
+                else:
+                    old = status != M22_ZERO and all(
+                        abs(wronskian(jost, coords, i)) / spread < tol
+                        for i in live)
+                assert wronskian_report(pset, status, tol).ss_verdict == old
+            rep = wronskian_report(pset, tol=tol)
+            min_w = min(abs(wronskian_product_form(jost, coords, i))
+                        for i in live)
+            assert rep.min_pair_factor == pytest.approx(min_w, rel=1e-12,
+                                                        abs=0.0)
 
     def test_empty_scan(self):
         summary = ss_scan(2, momentum_sampler(2, 0.01, 10.0, seed=5), 0)
