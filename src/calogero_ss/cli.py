@@ -21,8 +21,8 @@ from .errors import (AccuracyLossError, CalogeroError, CouplingRangeError,
                      DomainError, NumericalFailureError)
 from .model import CouplingParams, Validity, solve_nu_prime
 from .polynomials import solve_generalized_laplace
-from .scattering import (match_n_body, match_two_body, momentum_sampler,
-                         ss_scan, transmission_trend,
+from .scattering import (check_r_minus_grid, match_n_body, match_two_body,
+                         momentum_sampler, ss_scan, transmission_trend,
                          transmitted_coefficient_readings)
 from .svgplot import render_line_plot
 from .wavefunction import (SuperpositionCoeffs, make_scattering_state,
@@ -76,10 +76,9 @@ def _params_from_args(args) -> CouplingParams:
     return params
 
 
-def _convention_metadata(args) -> dict[str, str]:
+def _convention_metadata() -> dict[str, str]:
     return {
-        "phi_exponent": "nu" if getattr(args, "phi_use_nu", False)
-        else "nu_prime",
+        "phi_exponent": "nu_prime",
         "outgoing_prefactor": "pure_phase",
         "transmitted_coefficient": "value_matched",
         "ss_direction_rule": "all_nondegenerate_directions",
@@ -124,8 +123,7 @@ def cmd_scan(args) -> int:
         raise UsageError("scan needs --out")
     params = CouplingParams.from_exponent(args.n, args.nu_prime, args.delta)
     sampler = momentum_sampler(args.n, args.p_min, args.p_max, args.seed)
-    summary = ss_scan(args.n, sampler, args.samples, tol=args.tol,
-                      params=params)
+    summary = ss_scan(args.n, sampler, args.samples, params=params)
     rows = []
     for idx, rep in enumerate(summary.reports):
         # min_w_magnitude is |M22| times the pairing factor, with M22 = 1
@@ -133,11 +131,11 @@ def cmd_scan(args) -> int:
         rows.append(",".join([
             str(idx), _f17(rep.pset.p), min_factor, min_factor,
             rep.m22_status, "true" if rep.ss_verdict else "false"]))
-    metadata = _convention_metadata(args)
+    metadata = _convention_metadata()
     metadata.update({
         "n": str(args.n), "samples": str(args.samples),
         "p_min": _f17(args.p_min), "p_max": _f17(args.p_max),
-        "seed": str(args.seed), "ss_tolerance": _f17(args.tol),
+        "seed": str(args.seed),
         "nu_prime": _f17(params.nu_prime), "delta": _f17(params.delta),
     })
     _write_text(args.out, _csv_document(metadata, SCAN_HEADER, rows))
@@ -179,7 +177,7 @@ def cmd_coeffs(args) -> int:
     params = _params_from_args(args)
     if args.p is None or args.p <= 0.0:
         raise UsageError("coeffs needs --p > 0")
-    metadata = _convention_metadata(args)
+    metadata = _convention_metadata()
     metadata.update({"n": str(args.n), "p": _f17(args.p),
                      "r_minus": _f17(args.r_minus),
                      "r_plus": _f17(args.r_plus), "k": str(args.k)})
@@ -210,6 +208,9 @@ def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
 def cmd_sweep(args) -> int:
     params = _params_from_args(args)
     grid = _grid(getattr(args, "from_"), args.to, args.steps, args.log)
+    trend_checked = args.param == "r-minus" and params.n_particles == 2
+    if trend_checked:
+        check_r_minus_grid(grid)  # before any matching
     rows = []
     column_values = {"R": [], "T": [], "deriv_mismatch": []}
     for value in grid:
@@ -228,14 +229,14 @@ def cmd_sweep(args) -> int:
         column_values["deriv_mismatch"].append(
             m.derivative_mismatch if m.derivative_mismatch is not None
             else float("nan"))
-    metadata = _convention_metadata(args)
+    metadata = _convention_metadata()
     metadata.update({"n": str(args.n), "param": args.param,
                      "from": _f17(getattr(args, "from_")),
                      "to": _f17(args.to), "steps": str(args.steps),
                      "log": "true" if args.log else "false"})
 
     check_failed = False
-    if args.param == "r-minus" and params.n_particles == 2:
+    if trend_checked:
         trend = transmission_trend(grid, column_values["T"])
         metadata["trend_claim"] = "transmission_vanishes_at_large_r_minus"
         metadata["trend_slope"] = _f17(trend.fitted_slope)
@@ -309,7 +310,7 @@ def cmd_residual(args) -> int:
         "convergence_ratio": ratio,
         "tolerance": args.tol,
         "passed": passed,
-        "metadata": dict(sorted(_convention_metadata(args).items())),
+        "metadata": dict(sorted(_convention_metadata().items())),
     }
     print(json.dumps(doc))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -347,9 +348,6 @@ def _add_model_options(sub, with_k: bool = True):
                      help="ground-state exponent (exclusive with --g)")
     sub.add_argument("--delta", type=float, default=None,
                      help="deformation coupling")
-    sub.add_argument("--phi-use-nu", dest="phi_use_nu", action="store_true",
-                     help="use the undeformed exponent in the reversed-wave "
-                          "phase")
     if with_k:
         sub.add_argument("--k", type=int, default=0,
                          help="polynomial degree of the state")
@@ -375,11 +373,10 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--p-max", dest="p_max", type=float, required=True)
     p_scan.add_argument("--seed", type=int, required=True)
     p_scan.add_argument("--out", type=str, required=True)
-    p_scan.add_argument("--tol", type=float, default=1e-10)
     p_scan.add_argument("--nu-prime", dest="nu_prime", type=float,
                         default=1.0)
     p_scan.add_argument("--delta", type=float, default=0.5)
-    p_scan.set_defaults(func=cmd_scan, phi_use_nu=False)
+    p_scan.set_defaults(func=cmd_scan)
 
     p_coeffs = subs.add_parser("coeffs", help="matched coefficients at one "
                                               "momentum")

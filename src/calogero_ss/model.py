@@ -5,9 +5,10 @@ ground-state exponent nu' through the quadratic
 
     g = nu'^2 - nu' (1 + 2 delta),
 
-derives the radial indices (b', A', n', c, phi) used by the wavefunction
-and scattering modules, evaluates the confined model's bound spectrum, and
-provides an extensional PT-commutation checker for the Hamiltonian terms.
+derives the radial indices (b', A', n', c) used by the wavefunction and
+scattering modules, evaluates the confined model's bound spectrum, applies
+the Hamiltonian terms by finite differences, and provides an extensional
+PT-commutation checker for them.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class CouplingParams:
     omega is carried for the bound-spectrum formula only; every scattering
     operation requires omega = 0.  nu is the undeformed exponent solving
     g = nu^2 - nu (None when that quadratic has no real root); it enters
-    only the bound-spectrum formula and the optional phi convention toggle.
+    only the bound-spectrum formula.
     """
     n_particles: int
     g: float
@@ -140,42 +141,25 @@ class RadialIndices:
     """Derived indices of the radial problem at polynomial degree k.
 
     b' fixes the Bessel order, A' = b' - k the asymptotic envelope power,
-    n' the momentum scaling, c the two-body exponent nu' - b', and phi the
-    reversed-wave phase exponent.
+    n' the momentum scaling and c the two-body exponent nu' - b'.
     """
     k: int
     b_prime: float
     a_prime: float
     n_prime: float
     c: float
-    phi: float
 
 
-def radial_indices(params: CouplingParams, k: int, *,
-                   phi_use_nu: bool = False) -> RadialIndices:
-    """Indices for degree k.
-
-    phi defaults to -nu' N(N-1)/2 (the convention consistent with the
-    outgoing plane-wave phase); phi_use_nu switches to the undeformed
-    exponent for comparison runs.
-    """
+def radial_indices(params: CouplingParams, k: int) -> RadialIndices:
+    """Indices for degree k."""
     if k < 0:
         raise DomainError("polynomial degree k must be >= 0")
     n = params.n_particles
     pairs = n * (n - 1) / 2.0
     b_prime = (n - 3) / 2.0 + k + (params.nu_prime - params.delta) * pairs
     n_prime = (3 - n) / 2.0 + pairs * params.delta
-    if phi_use_nu:
-        if params.nu is None:
-            raise DomainError(
-                "phi_use_nu requires a real undeformed exponent "
-                f"(g={params.g} gives none)")
-        phi = -params.nu * pairs
-    else:
-        phi = -params.nu_prime * pairs
     return RadialIndices(k=k, b_prime=b_prime, a_prime=b_prime - k,
-                         n_prime=n_prime, c=params.nu_prime - b_prime,
-                         phi=phi)
+                         n_prime=n_prime, c=params.nu_prime - b_prime)
 
 
 def bound_state_energy(n_particles: int, nu: float, omega: float,
@@ -200,16 +184,49 @@ def bound_state_energy(n_particles: int, nu: float, omega: float,
         + omega * sum(n)
 
 
-# --- PT-commutation checker -------------------------------------------------
+# --- finite-difference Hamiltonian and PT-commutation checker ----------------
 #
-# PT acts on functions as (PT f)(x) = conj(f(-x)).  Each Hamiltonian term is
-# applied by finite differences; the residual |PT(T f)(x) - T(PT f)(x)|
-# measures the commutator extensionally.  "control_x1" (multiplication by
-# x_1) is the deliberately PT-breaking reference.  Multiplication by i*x_1
-# is also provided: it is PT-invariant (parity flips x_1, conjugation flips
-# i), which makes it a useful non-Hermitian-but-invariant control.
+# The Hamiltonian terms are applied by second-order central differences.
+# PT acts on functions as (PT f)(x) = conj(f(-x)); the residual
+# |PT(T f)(x) - T(PT f)(x)| measures the commutator extensionally.  "control_x1" (multiplication by x_1) is the
+# deliberately PT-breaking reference.  Multiplication by i*x_1 is also
+# provided: it is PT-invariant (parity flips x_1, conjugation flips i), which
+# makes it a useful non-Hermitian-but-invariant control.
 
 TermFn = Callable[[Callable, Sequence[float], float], complex]
+
+HAMILTONIAN_TERMS = ("kinetic", "inverse_square", "momentum_deformation",
+                     "harmonic")
+
+
+def hamiltonian_terms(f: Callable[[tuple], complex], x: Sequence[float],
+                      g: float, delta: float, omega: float, h: float
+                      ) -> tuple[complex, complex, complex, complex]:
+    """(kinetic, inverse-square, deformation, harmonic) term values at x.
+
+    All four share one 2N+1-point stencil of step h.  No ordering of x is
+    assumed; callers keep the stencil off the coincidence hyperplanes.
+    """
+    n = len(x)
+    center = complex(f(tuple(x)))
+    plus, minus = [], []
+    for j in range(n):
+        xp = list(x); xp[j] += h
+        xm = list(x); xm[j] -= h
+        plus.append(complex(f(tuple(xp))))
+        minus.append(complex(f(tuple(xm))))
+    kinetic = -0.5 * sum((plus[j] - 2.0 * center + minus[j]) / (h * h)
+                         for j in range(n))
+    inv_sq = (g / 2.0) * sum(
+        1.0 / (x[j] - x[m]) ** 2
+        for j in range(n) for m in range(n) if j != m) * center
+    deform = delta * sum(
+        (plus[j] - minus[j]) / (2.0 * h) / (x[j] - x[m])
+        for j in range(n) for m in range(n) if j != m)
+    harmonic = 0j
+    if omega != 0.0:
+        harmonic = (omega ** 2 / 2.0) * sum(c * c for c in x) * center
+    return kinetic, inv_sq, deform, harmonic
 
 
 def _min_pair_gap(x: Sequence[float]) -> float:
@@ -217,47 +234,17 @@ def _min_pair_gap(x: Sequence[float]) -> float:
     return min(abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n))
 
 
-def _d1(f, x, j, h):
-    xp = list(x); xm = list(x)
-    xp[j] += h; xm[j] -= h
-    return (f(tuple(xp)) - f(tuple(xm))) / (2.0 * h)
-
-
-def _d2(f, x, j, h):
-    xp = list(x); xm = list(x)
-    xp[j] += h; xm[j] -= h
-    return (f(tuple(xp)) - 2.0 * f(tuple(x)) + f(tuple(xm))) / (h * h)
-
-
 def hamiltonian_term(name: str, g: float = 1.0, delta: float = 0.5,
                      omega: float = 0.0) -> TermFn:
     """One term of the extended Hamiltonian as an (f, x, h) -> value map."""
-    if name == "kinetic":
-        def term(f, x, h):
-            return -0.5 * sum(_d2(f, x, j, h) for j in range(len(x)))
-    elif name == "inverse_square":
-        def term(f, x, h):
-            n = len(x)
-            s = sum(1.0 / (x[j] - x[k]) ** 2
-                    for j in range(n) for k in range(n) if j != k)
-            return (g / 2.0) * s * f(tuple(x))
-    elif name == "momentum_deformation":
-        def term(f, x, h):
-            n = len(x)
-            return delta * sum(_d1(f, x, j, h) / (x[j] - x[k])
-                               for j in range(n) for k in range(n) if j != k)
-    elif name == "harmonic":
-        def term(f, x, h):
-            return (omega ** 2 / 2.0) * sum(c * c for c in x) * f(tuple(x))
-    elif name == "control_x1":
-        def term(f, x, h):
-            return x[0] * f(tuple(x))
-    elif name == "control_ix1":
-        def term(f, x, h):
-            return 1j * x[0] * f(tuple(x))
-    else:
+    if name == "control_x1":
+        return lambda f, x, h: x[0] * f(tuple(x))
+    if name == "control_ix1":
+        return lambda f, x, h: 1j * x[0] * f(tuple(x))
+    if name not in HAMILTONIAN_TERMS:
         raise DomainError(f"unknown Hamiltonian term {name!r}")
-    return term
+    i = HAMILTONIAN_TERMS.index(name)
+    return lambda f, x, h: hamiltonian_terms(f, x, g, delta, omega, h)[i]
 
 
 def pt_invariance_residual(term: str | TermFn,

@@ -5,8 +5,8 @@ pure multi-particle plane waves at large separations, so their Wronskian
 along direction i factorizes into a momentum pairing factor
 (p_{N+1-i} - p_i) times the transfer-matrix entry M22 and pure phases.
 A spectral singularity needs a vanishing Wronskian at positive energy,
-which for sorted sum-zero momenta forces every p_j = 0 as long as M22
-is nonzero; M22 is tied to the reflection coefficient, computed here by
+which for sorted sum-zero momenta forces every p_j = 0 because M22 is
+never zero; M22 is tied to the reflection coefficient, computed here by
 matching interior Bessel profiles to plane-wave envelopes at reference
 radii.  Reflection comes out identically 1; the transmission trend is
 measured, never assumed.
@@ -28,7 +28,6 @@ from .specialfn import bessel_j, bessel_j_prime
 from .wavefunction import (MomentumSet, SuperpositionCoeffs, ground_state,
                            laplace_solutions, radial_coordinate)
 
-SS_TOLERANCE = 1e-10
 DIVERGENT_TOL = 1e-12
 
 # Operational reading of "transmission vanishes at large r_-": over the
@@ -153,12 +152,16 @@ def momentum_sampler(n: int, p_min: float, p_max: float,
 class WronskianReport:
     """Per-sample pairing factors and the singularity verdict.
 
-    By the factorization above |W_i| = |M22| |p_i - p_{N+1-i}| in every
-    direction, so the verdict normalizes by |M22| |p_1 - p_N| and needs
-    only the pairing factors: it requires every live direction below
-    tolerance and M22 != 0.  Self-paired middle directions of odd N vanish
-    structurally; they are reported in pair_factors but are not live.
-    min_pair_factor is the smallest live |factor|.
+    The verdict is the theorem, not a threshold.  By the factorization
+    above |W_i| = |M22| |p_i - p_{N+1-i}|, and M22 != 0: a = 0 would need
+    J_b' and J'_b' to vanish at the same positive argument, and they have
+    no common positive zero (DLMF 10.21(i)).  For sorted momenta the
+    direction-1 factor is the spread |p_1 - p_N|, the largest of all, so
+    W_1 vanishes exactly when the spread is 0, and with sum zero that
+    means every momentum is 0.  The verdict is therefore spread == 0.
+    Self-paired middle directions of odd N vanish structurally; they are
+    reported in pair_factors but are not live.  min_pair_factor is the
+    smallest live |factor|.
     """
     pset: MomentumSet
     pair_factors: tuple[float, ...]
@@ -168,22 +171,14 @@ class WronskianReport:
 
 
 def wronskian_report(pset: MomentumSet,
-                     m22_status: str = M22_FINITE_NONZERO,
-                     tol: float = SS_TOLERANCE) -> WronskianReport:
+                     m22_status: str = M22_FINITE_NONZERO) -> WronskianReport:
     factors = pair_factors(pset)
     n = len(factors)
     live = [abs(factors[i]) for i in range(n) if i != n - 1 - i]
-    spread = abs(factors[0])  # |p_1 - p_N|
-    if spread == 0.0:
-        # sorted sum-zero with zero spread means all momenta vanish
-        verdict = True
-    else:
-        # a Zero M22 cannot rescue a verdict: excluded by finite reflection
-        verdict = m22_status != M22_ZERO \
-            and all(f / spread < tol for f in live)
     return WronskianReport(pset=pset, pair_factors=factors,
                            min_pair_factor=min(live),
-                           m22_status=m22_status, ss_verdict=verdict)
+                           m22_status=m22_status,
+                           ss_verdict=factors[0] == 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,6 @@ class ScanSummary:
 
 
 def ss_scan(n: int, sampler: Callable[[], MomentumSet], n_samples: int,
-            tol: float = SS_TOLERANCE,
             params: CouplingParams | None = None) -> ScanSummary:
     """Seeded nonexistence sweep; one report per sample, in sample order."""
     if n_samples < 0:
@@ -208,7 +202,7 @@ def ss_scan(n: int, sampler: Callable[[], MomentumSet], n_samples: int,
     for ps in psets:
         if ps.n != n:
             raise DomainError("sampler produced wrong particle count")
-    reports = tuple(wronskian_report(ps, status, tol) for ps in psets)
+    reports = tuple(wronskian_report(ps, status) for ps in psets)
     return ScanSummary(reports=reports,
                        min_pair_factor=min((r.min_pair_factor
                                             for r in reports),
@@ -482,12 +476,20 @@ class TransmissionSweep:
     trend: TrendSummary
 
 
+def check_r_minus_grid(r_minus_values: Sequence[float]) -> None:
+    """Reject an empty or not strictly increasing r_- grid."""
+    values = list(r_minus_values)
+    if not values:
+        raise DomainError("r_minus values must not be empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise DomainError("r_minus values must be strictly increasing")
+
+
 def transmission_trend(r_minus_values: Sequence[float],
                        transmissions: Sequence[float]) -> TrendSummary:
     """Upper-envelope trend check of the decay claim over T(r_-)."""
     values = list(r_minus_values)
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise DomainError("r_minus values must be strictly increasing")
+    check_r_minus_grid(values)
     # upper envelope of the tail: max of T over j >= i
     env = []
     running = 0.0
@@ -515,6 +517,7 @@ def transmission_sweep(params: CouplingParams, p: float,
                        r_minus_values: Sequence[float],
                        r_plus: float) -> TransmissionSweep:
     """T(r_-) rows plus the trend check of the decay claim."""
+    check_r_minus_grid(r_minus_values)
     rows = tuple((rm, match_two_body(params, p, rm, r_plus))
                  for rm in r_minus_values)
     return TransmissionSweep(

@@ -28,9 +28,9 @@ from typing import Callable, Mapping, Sequence
 from . import polynomials
 from .errors import (AsymptoticRangeError, DomainError,
                      SingularConfigurationError)
-from .model import CouplingParams, radial_indices
+from .model import CouplingParams, hamiltonian_terms, radial_indices
 from .polynomials import SymPolynomial, evaluate_poly
-from .specialfn import (asymptotic_threshold, bessel_j, bessel_j_prime)
+from .specialfn import asymptotic_threshold, bessel_j
 
 DEFAULT_MIN_GAP = 1e-9
 NEAR_NODE_GUARD = 1e-8
@@ -181,14 +181,6 @@ def radial_solution(r: float, p: float, b_prime: float) -> float:
     if r <= 0.0 or p <= 0.0:
         raise DomainError("radial_solution needs r > 0 and p > 0")
     return r ** (-b_prime) * bessel_j(b_prime, p * r)
-
-
-def radial_solution_derivative(r: float, p: float, b_prime: float) -> float:
-    """d/dr of r^(-b') J_b'(p r), analytic."""
-    if r <= 0.0 or p <= 0.0:
-        raise DomainError("radial_solution needs r > 0 and p > 0")
-    return (-b_prime) * r ** (-b_prime - 1.0) * bessel_j(b_prime, p * r) \
-        + r ** (-b_prime) * p * bessel_j_prime(b_prime, p * r)
 
 
 # --- polynomial solutions cache ---------------------------------------------
@@ -358,27 +350,8 @@ def _hamiltonian_terms(psi: Callable[[tuple], complex],
         raise SingularConfigurationError(
             f"stencil width 2h={2 * h:.3e} crosses a coincidence hyperplane "
             f"(min gap {min(gaps):.3e})")
-    center = complex(psi(coords))
-    plus = []
-    minus = []
-    for j in range(n):
-        cp = list(coords); cp[j] += h
-        cm = list(coords); cm[j] -= h
-        plus.append(complex(psi(tuple(cp))))
-        minus.append(complex(psi(tuple(cm))))
-    kinetic = -0.5 * sum((plus[j] - 2.0 * center + minus[j]) / (h * h)
-                         for j in range(n))
-    inv_sq = (params.g / 2.0) * sum(
-        1.0 / (coords[j] - coords[m]) ** 2
-        for j in range(n) for m in range(n) if j != m) * center
-    deform = params.delta * sum(
-        (plus[j] - minus[j]) / (2.0 * h) / (coords[j] - coords[m])
-        for j in range(n) for m in range(n) if j != m)
-    harmonic = 0j
-    if params.omega != 0.0:
-        harmonic = (params.omega ** 2 / 2.0) * sum(c * c for c in coords) \
-            * center
-    return kinetic, inv_sq, deform, harmonic
+    return hamiltonian_terms(psi, coords, params.g, params.delta,
+                             params.omega, h)
 
 
 def apply_hamiltonian_fd(psi: Callable[[tuple], complex], x,

@@ -75,8 +75,8 @@ class TestScan:
         # the model admits no singular sample; force the reporting path
         real = cli.ss_scan
 
-        def fake(n, sampler, n_samples, tol, params):
-            summary = real(n, sampler, n_samples, tol=tol, params=params)
+        def fake(n, sampler, n_samples, params):
+            summary = real(n, sampler, n_samples, params=params)
             reports = tuple(
                 r.__class__(pset=r.pset, pair_factors=r.pair_factors,
                             min_pair_factor=r.min_pair_factor,
@@ -98,6 +98,17 @@ class TestScan:
         body = [ln.split(",") for ln in out_file.read_text().splitlines()
                 if not ln.startswith("#")]
         assert all(row[2] == row[3] for row in body[1:])
+
+    def test_no_tolerance_option(self, capsys, tmp_path):
+        out_file = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan", "--n", "3", "--samples", "5",
+                         "--p-max", "10", "--seed", "1", "--tol", "1.5",
+                         "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert not out_file.exists()
+        run(capsys, "scan", "--n", "3", "--samples", "5", "--p-max", "10",
+            "--seed", "1", "--out", str(out_file))
+        assert "ss_tolerance" not in out_file.read_text()
 
     def test_io_failure(self, capsys):
         code, _, err = run(capsys, "scan", "--n", "2", "--samples", "1",
@@ -130,6 +141,11 @@ class TestCoeffs:
         fields = lines[1].split(",")
         assert abs(float(fields[9]) - 1.0) < 1e-9
         assert fields[10] == "nan"  # T undefined for the envelope matcher
+
+    def test_no_phi_use_nu_option(self, capsys):
+        code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
+                         "--nu-prime", "1", "--delta", "0.5", "--phi-use-nu")
+        assert code == EXIT_USAGE
 
     def test_invalid_couplings(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
@@ -175,6 +191,26 @@ class TestSweep:
                          "--out", str(tmp_path / "sweep.csv"))
         assert code == EXIT_CHECK_FAILED
         assert len(calls) == 5
+
+    def test_decreasing_grid_rejected_before_matching(self, capsys,
+                                                      tmp_path, monkeypatch):
+        calls = []
+        real = scattering.match_two_body
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "match_two_body", counted)
+        monkeypatch.setattr(scattering, "match_two_body", counted)
+        code, _, err = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
+                           "--delta", "0.5", "--param", "r-minus",
+                           "--from", "100", "--to", "10", "--steps", "3",
+                           "--out", str(tmp_path / "sweep.csv"))
+        assert code == EXIT_USAGE
+        assert err == ("usage error: r_minus values must be strictly "
+                       "increasing\n")
+        assert calls == []
 
     def test_rows_match_coeffs(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -302,6 +338,14 @@ class TestConfigAndEnv:
                            "--g", "0")
         assert code == EXIT_OK
         assert json.loads(out)["selected"] == 1.0
+
+    def test_removed_option_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phi_use_nu": True}))
+        code, _, err = run(capsys, "--config", str(cfg), "nu-prime",
+                           "--g", "0", "--delta", "0")
+        assert code == EXIT_USAGE
+        assert "unknown config key" in err
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

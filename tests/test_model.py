@@ -129,17 +129,6 @@ class TestRadialIndices:
             idx = radial_indices(p, k)
             assert idx.a_prime + k == pytest.approx(idx.b_prime, abs=1e-14)
 
-    def test_phi_conventions(self):
-        p = CouplingParams.from_coupling(3, 2.0, 0.5)
-        assert radial_indices(p, 0).phi == pytest.approx(-3.0 * p.nu_prime)
-        assert radial_indices(p, 0, phi_use_nu=True).phi == pytest.approx(
-            -3.0 * p.nu)
-
-    def test_phi_use_nu_without_real_nu(self):
-        p = CouplingParams.from_exponent(2, 0.4, 1.0)
-        with pytest.raises(DomainError):
-            radial_indices(p, 0, phi_use_nu=True)
-
 
 class TestBoundStateEnergy:
     def test_ground(self):

@@ -10,12 +10,12 @@ from conftest import symmetric_pset
 from calogero_ss.errors import (DegenerateEnvelopeError, DomainError)
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
-                                    M22_ZERO, JostPair, ScanSummary, TrendDiscrepancy,
+                                    JostPair, ScanSummary, TrendDiscrepancy,
                                     match_n_body, match_two_body,
                                     momentum_sampler, pair_factors,
                                     sample_momenta, ss_scan,
                                     transfer_matrix, transfer_status,
-                                    transmission_sweep,
+                                    transmission_sweep, transmission_trend,
                                     transmitted_coefficient_readings,
                                     wronskian, wronskian_product_form,
                                     wronskian_report)
@@ -134,33 +134,34 @@ class TestScan:
         assert all(f == 0.0 for f in rep.pair_factors)
         assert rep.min_pair_factor == 0.0
 
-    @pytest.mark.parametrize("tol", [1e-10, 0.3, 0.8, 1.5])
-    def test_verdict_matches_wronskian_rule(self, tol):
-        # oracle: the verdict the scan used to compute from |W| at a far
-        # configuration with the Jost normalization M22 = 1
+    @pytest.mark.parametrize("scale", [1e-10, 0.3, 0.8, 1.5])
+    def test_verdict_matches_wronskian_rule(self, scale):
+        # oracle: the Jost Wronskian itself at a far configuration, with a
+        # random nonzero M22; verdict <=> spread == 0 <=> every live W == 0.
+        # Radial magnitudes span [0.01, 10] * scale: no tolerance may hide a
+        # tiny nonzero spread.
         rng = random.Random(4242)
-        psets = [sample_momenta(n, rng, rng.uniform(0.01, 10.0))
-                 for n in range(2, 7) for _ in range(220)]
-        psets += [MomentumSet.from_momenta((0.0,) * n) for n in range(2, 7)]
+        psets = [sample_momenta(n, rng, scale * rng.uniform(0.01, 10.0))
+                 for n in range(2, 9) for _ in range(160)]
+        psets += [MomentumSet.from_momenta((0.0,) * n) for n in range(2, 9)]
+        verdicts = 0
         for pset in psets:
             n = pset.n
-            jost = JostPair(pset, phi=rng.uniform(-6.0, 0.0))
+            jost = JostPair(pset, phi=rng.uniform(-6.0, 0.0),
+                            m12=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                            m22=complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
             coords = tuple(100.0 + 10.0 * (n - j) for j in range(n))
             live = [i for i in range(1, n + 1) if i != n + 1 - i]
-            spread = abs(pset.momenta[0] - pset.momenta[-1])
-            for status in (M22_FINITE_NONZERO, M22_ZERO):
-                if spread == 0.0:
-                    old = True
-                else:
-                    old = status != M22_ZERO and all(
-                        abs(wronskian(jost, coords, i)) / spread < tol
-                        for i in live)
-                assert wronskian_report(pset, status, tol).ss_verdict == old
-            rep = wronskian_report(pset, tol=tol)
+            spread = pset.momenta[-1] - pset.momenta[0]
+            all_zero = all(wronskian(jost, coords, i) == 0 for i in live)
+            rep = wronskian_report(pset)
+            assert rep.ss_verdict == (spread == 0.0) == all_zero
+            verdicts += rep.ss_verdict
             min_w = min(abs(wronskian_product_form(jost, coords, i))
                         for i in live)
-            assert rep.min_pair_factor == pytest.approx(min_w, rel=1e-12,
-                                                        abs=0.0)
+            assert rep.min_pair_factor * abs(jost.m22) == pytest.approx(
+                min_w, rel=1e-12, abs=0.0)
+        assert verdicts == 7  # exactly the all-zero sets
 
     def test_empty_scan(self):
         summary = ss_scan(2, momentum_sampler(2, 0.01, 10.0, seed=5), 0)
@@ -344,3 +345,10 @@ class TestTransmissionSweep:
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
         with pytest.raises(DomainError):
             transmission_sweep(params, 1.0, [100.0, 10.0], 5.0)
+
+    def test_empty_grid_rejected(self):
+        params = CouplingParams.from_exponent(2, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            transmission_trend([], [])
+        with pytest.raises(DomainError):
+            transmission_sweep(params, 1.0, [], 5.0)

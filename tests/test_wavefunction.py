@@ -8,7 +8,8 @@ from conftest import gap_band_samples, symmetric_pset
 
 from calogero_ss.errors import (AsymptoticRangeError, DomainError,
                                 SingularConfigurationError)
-from calogero_ss.model import CouplingParams, radial_indices
+from calogero_ss.model import (HAMILTONIAN_TERMS, CouplingParams,
+                               hamiltonian_term, radial_indices)
 from calogero_ss.specialfn import bessel_j
 from calogero_ss.wavefunction import (Configuration, MomentumSet,
                                       SuperpositionCoeffs,
@@ -226,6 +227,19 @@ class TestHamiltonianFD:
         bad = lambda c: base(c) * (1.0 + 0.1 * c[0] ** 2)
         samples = gap_band_samples(2, 3, 20)
         assert eigen_residual(bad, state_energy(pset), samples, params) > 1e-2
+
+    @pytest.mark.parametrize("omega", [0.0, 0.7])
+    def test_fd_equals_sum_of_term_table(self, omega):
+        # the eigen-residual and the PT checker share one stencil
+        params = CouplingParams.from_exponent(3, 1.5, 0.5, omega=omega)
+        psi = make_scattering_state(params, symmetric_pset(3, 1.2), 3)
+        ops = [hamiltonian_term(name, g=params.g, delta=params.delta,
+                                omega=omega) for name in HAMILTONIAN_TERMS]
+        for x in gap_band_samples(3, 21, 4):
+            total = apply_hamiltonian_fd(psi, x, params, h=1e-3)
+            assert total == sum(op(psi, x, 1e-3) for op in ops)
+            if omega:
+                assert ops[-1](psi, x, 1e-3) != 0
 
     def test_stencil_guard(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
