@@ -11,20 +11,39 @@ with lambda the coupling combination nu' - delta.  Everything here is done
 in rational arithmetic: nullspace dimensions are discrete claims and
 floating-point rank decisions are untrustworthy.
 
-Working basis: products of power sums of the centered variables
-y_j = x_j - mean(x), one product per partition of k into parts >= 2
-(p_1(y) vanishes identically, so translation invariance is structural).
-Polynomials are stored by symmetric-monomial index: the descending
-exponent partition of any monomial in a permutation orbit, mapped to the
+A polynomial has two forms.
+
+Power-sum form (stored): exact coefficients on products of the centered
+power sums q_a = sum_j (x_j - mean(x))^a, one partition of k into parts
+>= 2 per product.  q_0 = N and q_1 = 0, so translation invariance is
+structural.  L maps a product of degree k to products of degree k - 2 in
+closed form (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I;
+Baker & Forrester, CMP 188 (1997)).  For one factor,
+
+    Laplacian:  sum_j d^2 q_a/dx_j^2 = a(a-1)(1 - 1/N) q_{a-2},
+    pair term:  lambda a (sum_{s=0}^{a-2} q_s q_{a-2-s} - (a-1) q_{a-2}),
+
+and each pair of factors q_a q_b adds the gradient cross term
+2 grad q_a . grad q_b = 2ab (q_{a+b-2} - q_{a-1} q_{b-1} / N) (the pair
+term is a derivation, so the Leibniz rule does the rest).
+
+Monomial form (derived): the descending exponent partition (padded to N
+entries) of any monomial of x in a permutation orbit, mapped to the
 orbit's common rational coefficient, ordered graded-lexicographically.
+It is reached through the plain power sums p_t = sum_j x_j^t, with
+q_a = sum_t C(a, t) (-p_1/N)^(a-t) p_t and p_0 = N, and the rule that
+p_t m_mu is the sum, over the distinct parts v of mu, of m_nu with one v
+raised to v + t, times the multiplicity of v + t in nu.  Rank decisions,
+the constraint rows and the printed ``polys`` output use the monomial
+form, which is unique; the products are linearly dependent once a part
+exceeds N.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Mapping, Sequence
 
 from .errors import DomainError, InternalConsistencyError, ResourceLimitError
@@ -37,56 +56,11 @@ DEFAULT_MAX_VARS = 6
 GENERIC_LAMBDAS = (Fraction(7, 10), Fraction(13, 9))
 
 Monomial = tuple[int, ...]
-PolyDict = dict[Monomial, Fraction]
+Partition = tuple[int, ...]
 
 
-# --- raw multivariate polynomial helpers (dict exponent-tuple -> Fraction) --
-
-def _clean(p: PolyDict) -> PolyDict:
-    return {m: c for m, c in p.items() if c != 0}
-
-def _add(p: PolyDict, q: PolyDict) -> PolyDict:
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, Fraction(0)) + c
-    return _clean(out)
-
-def _scale(p: PolyDict, s: Fraction) -> PolyDict:
-    return {} if s == 0 else {m: c * s for m, c in p.items()}
-
-def _mul(p: PolyDict, q: PolyDict) -> PolyDict:
-    out: PolyDict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-    return _clean(out)
-
-def _diff(p: PolyDict, j: int) -> PolyDict:
-    out: PolyDict = {}
-    for m, c in p.items():
-        if m[j]:
-            mm = list(m)
-            mm[j] -= 1
-            out[tuple(mm)] = out.get(tuple(mm), Fraction(0)) + c * m[j]
-    return _clean(out)
-
-
-def _centered_power_sum(n_vars: int, a: int) -> PolyDict:
-    """p_a(y) = sum_j (x_j - mean(x))^a as a polynomial in x."""
-    inv_n = Fraction(1, n_vars)
-    total: PolyDict = {}
-    for j in range(n_vars):
-        y_j: PolyDict = {}
-        for i in range(n_vars):
-            m = [0] * n_vars
-            m[i] = 1
-            y_j[tuple(m)] = (1 - inv_n) if i == j else -inv_n
-        power: PolyDict = {(0,) * n_vars: Fraction(1)}
-        for _ in range(a):
-            power = _mul(power, y_j)
-        total = _add(total, power)
-    return total
+def _sorted_parts(parts) -> Partition:
+    return tuple(sorted(parts, reverse=True))
 
 
 def _partitions_min2(k: int) -> list[tuple[int, ...]]:
@@ -107,35 +81,44 @@ def _partitions_min2(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _orbit_key(m: Monomial) -> Monomial:
-    return tuple(sorted(m, reverse=True))
-
-
-def _compress_symmetric(p: PolyDict, n_vars: int) -> dict[Monomial, Fraction]:
-    """Group an (asserted symmetric) polynomial by exponent partition."""
+def _monomial_form(power_sums: Mapping[Partition, Fraction],
+                   n_vars: int) -> dict[Monomial, Fraction]:
+    """Monomial-symmetric coefficients of a power-sum-form polynomial."""
+    # centered products -> products of plain power sums p_t, t >= 1;
+    # N^a q_a = sum_t C(a, t) (-p_1)^(a-t) N^t p_t keeps the weights integer
+    plain: dict[Partition, Fraction] = {}
+    for partition, coeff in power_sums.items():
+        terms = {(): 1}
+        for a in partition:
+            step: dict[Partition, int] = {}
+            for t in range(a + 1):
+                weight = comb(a, t) * (-1) ** (a - t) * n_vars ** t
+                if t == 0:
+                    weight *= n_vars
+                extra = (1,) * (a - t) + ((t,) if t else ())
+                for key, c in terms.items():
+                    new = _sorted_parts(key + extra)
+                    step[new] = step.get(new, 0) + c * weight
+            terms = step
+        scale = coeff / n_vars ** sum(partition)
+        for key, c in terms.items():
+            plain[key] = plain.get(key, Fraction(0)) + scale * c
+    # plain products -> monomial symmetric functions m_mu (integer weights)
     out: dict[Monomial, Fraction] = {}
-    for m, c in p.items():
-        key = _orbit_key(m)
-        if key in out and out[key] != c:
-            raise InternalConsistencyError(
-                f"polynomial not symmetric: orbit {key} has coefficients "
-                f"{out[key]} and {c}")
-        out[key] = c
-    # every orbit member must be present with the same coefficient
-    for key, c in out.items():
-        for perm in set(itertools.permutations(key)):
-            if p.get(perm, Fraction(0)) != c:
-                raise InternalConsistencyError(
-                    f"polynomial not symmetric on orbit {key}")
-    return out
-
-
-def _expand_partitions(coeffs: Mapping[Monomial, Fraction]) -> PolyDict:
-    out: PolyDict = {}
-    for key, c in coeffs.items():
-        for perm in set(itertools.permutations(key)):
-            out[perm] = c
-    return out
+    for key, c in plain.items():
+        mons = {(0,) * n_vars: 1}
+        for t in key:
+            step_m: dict[Monomial, int] = {}
+            for mu, cm in mons.items():
+                for v in set(mu):
+                    raised = list(mu)
+                    raised[mu.index(v)] = v + t
+                    nu = _sorted_parts(raised)
+                    step_m[nu] = step_m.get(nu, 0) + cm * nu.count(v + t)
+            mons = step_m
+        for mu, cm in mons.items():
+            out[mu] = out.get(mu, Fraction(0)) + c * cm
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def partition_order_key(partition: Monomial):
@@ -145,16 +128,19 @@ def partition_order_key(partition: Monomial):
 
 @dataclass(frozen=True)
 class SymPolynomial:
-    """Symmetric translation-invariant homogeneous polynomial, exact."""
+    """Symmetric translation-invariant homogeneous polynomial, exact.
+
+    ``power_sums`` maps a partition (parts >= 2) to the coefficient of the
+    product of centered power sums q_part; ``coefficients`` is the same
+    polynomial in monomial-symmetric form (see the module docstring).
+    """
     n_vars: int
     degree: int
-    coefficients: Mapping[Monomial, Fraction]  # partition -> coefficient
+    power_sums: Mapping[Partition, Fraction]
 
-    def expand(self) -> PolyDict:
-        return _expand_partitions(self.coefficients)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
+    @property
+    def coefficients(self) -> dict[Monomial, Fraction]:
+        return _monomial_form(self.power_sums, self.n_vars)
 
     def ordered_items(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.coefficients.items(),
@@ -202,58 +188,36 @@ def ti_symmetric_basis(n_vars: int, degree: int, *,
     parts >= 2, reduced to linear independence by exact elimination.
     """
     _check_caps(n_vars, degree, max_vars, max_degree)
-    candidates = []
-    for partition in _partitions_min2(degree):
-        poly: PolyDict = {(0,) * n_vars: Fraction(1)}
-        for part in partition:
-            poly = _mul(poly, _centered_power_sum(n_vars, part))
-        candidates.append(_compress_symmetric(poly, n_vars))
-    kept = _independent_subset(candidates)
-    return [SymPolynomial(n_vars, degree, candidates[i]) for i in kept]
+    candidates = [SymPolynomial(n_vars, degree, {partition: Fraction(1)})
+                  for partition in _partitions_min2(degree)]
+    kept = _independent_subset([c.coefficients for c in candidates])
+    return [candidates[i] for i in kept]
 
 
-def _divide_by_difference(q: PolyDict, i: int, j: int, n_vars: int) -> PolyDict:
-    """Exact quotient q / (x_i - x_j); raises if the division has remainder.
+def _laplace_image(poly: SymPolynomial, lam: Fraction
+                   ) -> dict[Partition, Fraction]:
+    """Power-sum form of L[P] (closed forms in the module docstring)."""
+    n = poly.n_vars
+    out: dict[Partition, Fraction] = {}
 
-    Writing q = sum_d c_d x_i^d, the remainder is q with x_i replaced by
-    x_j and the quotient is sum_d c_d sum_{m<d} x_i^m x_j^(d-1-m).
-    """
-    remainder: PolyDict = {}
-    quotient: PolyDict = {}
-    for m, c in q.items():
-        d = m[i]
-        moved = list(m)
-        moved[i] = 0
-        moved[j] += d
-        key = tuple(moved)
-        remainder[key] = remainder.get(key, Fraction(0)) + c
-        base = list(m)
-        base[i] = 0
-        for s in range(d):
-            mm = list(base)
-            mm[i] = s
-            mm[j] += d - 1 - s
-            key = tuple(mm)
-            quotient[key] = quotient.get(key, Fraction(0)) + c
-    if _clean(remainder):
-        raise InternalConsistencyError(
-            f"(d_{i} - d_{j}) result not divisible by (x_{i} - x_{j}); "
-            "basis is not symmetric")
-    return _clean(quotient)
+    def add(coeff: Fraction, parts: tuple[int, ...]):
+        # q_1 = 0 and q_0 = N
+        if 1 in parts:
+            return
+        key = _sorted_parts(p for p in parts if p)
+        out[key] = out.get(key, Fraction(0)) + coeff * n ** parts.count(0)
 
-
-def apply_laplace_operator(poly: PolyDict, n_vars: int,
-                           lam: Fraction) -> PolyDict:
-    """L[P] for an expanded polynomial dict (see module docstring)."""
-    out: PolyDict = {}
-    for j in range(n_vars):
-        out = _add(out, _diff(_diff(poly, j), j))
-    # ordered pair sum = twice the unordered one
-    for i in range(n_vars):
-        for j in range(i + 1, n_vars):
-            q = _add(_diff(poly, i), _scale(_diff(poly, j), Fraction(-1)))
-            out = _add(out, _scale(_divide_by_difference(q, i, j, n_vars),
-                                   2 * lam))
+    for partition, c in poly.power_sums.items():
+        for i, a in enumerate(partition):
+            rest = partition[:i] + partition[i + 1:]
+            add(c * a * (a - 1) * (1 - Fraction(1, n) - lam), rest + (a - 2,))
+            for s in range(a - 1):
+                add(c * lam * a, rest + (s, a - 2 - s))
+            for j in range(i + 1, len(partition)):
+                b = partition[j]
+                others = rest[:j - 1] + rest[j:]
+                add(2 * c * a * b, others + (a + b - 2,))
+                add(Fraction(-2 * a * b, n) * c, others + (a - 1, b - 1))
     return out
 
 
@@ -300,11 +264,9 @@ def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
     return basis
 
 
-def _primitive_normalize(coeffs: dict[Monomial, Fraction]
-                         ) -> dict[Monomial, Fraction]:
-    """Scale to coprime integers with positive leading coefficient."""
-    if not coeffs:
-        return coeffs
+def _primitive_normalize(poly: SymPolynomial) -> SymPolynomial:
+    """Scale to coprime integer monomial coefficients, positive leading one."""
+    coeffs = poly.coefficients
     den_lcm = 1
     for c in coeffs.values():
         den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
@@ -315,7 +277,8 @@ def _primitive_normalize(coeffs: dict[Monomial, Fraction]
     lead = max(coeffs, key=partition_order_key)
     if coeffs[lead] < 0:
         scale = -scale
-    return {m: c * scale for m, c in coeffs.items()}
+    return SymPolynomial(poly.n_vars, poly.degree,
+                         {m: c * scale for m, c in poly.power_sums.items()})
 
 
 @dataclass(frozen=True)
@@ -338,25 +301,21 @@ def solve_generalized_laplace(n_vars: int, degree: int, lam, *,
     lam_f = _as_fraction(lam)
     basis = ti_symmetric_basis(n_vars, degree, max_vars=max_vars,
                                max_degree=max_degree)
-    images = [
-        _compress_symmetric(
-            apply_laplace_operator(b.expand(), n_vars, lam_f), n_vars)
-        for b in basis]
+    images = [_monomial_form(_laplace_image(b, lam_f), n_vars)
+              for b in basis]
     row_keys = sorted({m for img in images for m in img},
                       key=partition_order_key, reverse=True)
     matrix = [[img.get(mk, Fraction(0)) for img in images] for mk in row_keys]
     null = _nullspace(matrix, len(basis))
     solutions = []
     for vec in null:
-        combo: dict[Monomial, Fraction] = {}
+        combo: dict[Partition, Fraction] = {}
         for coeff, b in zip(vec, basis):
-            if coeff == 0:
-                continue
-            for m, c in b.coefficients.items():
+            for m, c in b.power_sums.items():
                 combo[m] = combo.get(m, Fraction(0)) + coeff * c
         combo = {m: c for m, c in combo.items() if c != 0}
-        solutions.append(SymPolynomial(n_vars, degree,
-                                       _primitive_normalize(combo)))
+        solutions.append(_primitive_normalize(
+            SymPolynomial(n_vars, degree, combo)))
     return LaplaceSystem(
         n_vars=n_vars, degree=degree, lam=lam_f, basis=tuple(basis),
         constraint_matrix=tuple(tuple(row) for row in matrix),
@@ -398,8 +357,9 @@ def evaluate_poly(poly: SymPolynomial, x: Sequence):
     """Evaluate at a configuration via centered variables.
 
     Exact when every coordinate is an int or Fraction; float otherwise.
-    The polynomial is translation invariant, so centering changes nothing
-    analytically but keeps float evaluation well conditioned.
+    The power sums q_2..q_k of y = x - mean(x) are formed once and the
+    stored products summed; centering keeps float evaluation well
+    conditioned.
     """
     if len(x) != poly.n_vars:
         raise DomainError(
@@ -414,33 +374,11 @@ def evaluate_poly(poly: SymPolynomial, x: Sequence):
         mean = sum(float(c) for c in x) / len(x)
         y = [float(c) - mean for c in x]
         total = 0.0
-    for mon, coeff in poly.expand().items():
+    q = [None, None] + [sum(v ** a for v in y)
+                        for a in range(2, poly.degree + 1)]
+    for partition, coeff in poly.power_sums.items():
         term = coeff if exact else float(coeff)
-        for base, e in zip(y, mon):
-            if e:
-                term = term * base ** e
+        for a in partition:
+            term = term * q[a]
         total += term
     return total
-
-
-def translation_defect(poly: SymPolynomial) -> PolyDict:
-    """sum_j dP/dx_j, exactly; empty dict iff translation invariant."""
-    p = poly.expand()
-    out: PolyDict = {}
-    for j in range(poly.n_vars):
-        out = _add(out, _diff(p, j))
-    return out
-
-
-def euler_defect(poly: SymPolynomial) -> PolyDict:
-    """sum_j x_j dP/dx_j - k P, exactly; empty dict iff homogeneous."""
-    p = poly.expand()
-    out = _scale(p, Fraction(-poly.degree))
-    for j in range(poly.n_vars):
-        d = _diff(p, j)
-        xj: PolyDict = {}
-        m0 = [0] * poly.n_vars
-        m0[j] = 1
-        xj[tuple(m0)] = Fraction(1)
-        out = _add(out, _mul(xj, d))
-    return out

@@ -233,6 +233,17 @@ class ScatteringMatch:
     derivative_mismatch: float | None
 
 
+def _squared_ratio(num: complex, den: complex, p: float,
+                   r_minus: float) -> float:
+    """|num/den|^2 from the amplitude ratio, so tiny amplitudes whose
+    squares underflow still give R and T."""
+    if den == 0:
+        raise NumericalFailureError(
+            f"incoming amplitude underflowed to 0 at p={p}, r_-={r_minus}")
+    ratio = abs(num / den)
+    return ratio * ratio
+
+
 def match_two_body(params: CouplingParams, p: float, r_minus: float,
                    r_plus: float) -> ScatteringMatch:
     """Value+derivative continuity at r_-, value continuity at r_+.
@@ -278,11 +289,11 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
         * cmath.exp(-1j * p * r_plus)
     mismatch = abs(out_d - psi_d) / max(abs(psi_d), 1e-300)
 
-    refl = abs(b) ** 2 / abs(a) ** 2
-    trans = abs(d) ** 2 / abs(a) ** 2
     return ScatteringMatch(r_minus=r_minus, r_plus=r_plus, a=a, b=b, d=d,
-                           a1=None, b1=None, reflection=refl,
-                           transmission=trans, derivative_mismatch=mismatch)
+                           a1=None, b1=None,
+                           reflection=_squared_ratio(b, a, p, r_minus),
+                           transmission=_squared_ratio(d, a, p, r_minus),
+                           derivative_mismatch=mismatch)
 
 
 def transmitted_coefficient_readings(params: CouplingParams, p: float,
@@ -387,7 +398,7 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
         * cmath.exp(-1j * p * r_minus) / denom
     return ScatteringMatch(r_minus=r_minus, r_plus=None, a=None, b=None,
                            d=None, a1=a1, b1=b1,
-                           reflection=abs(b1) ** 2 / abs(a1) ** 2,
+                           reflection=_squared_ratio(b1, a1, p, r_minus),
                            transmission=None, derivative_mismatch=None)
 
 

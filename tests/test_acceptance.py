@@ -9,14 +9,14 @@ import time
 
 import mpmath as mp
 from conftest import gap_band_samples, symmetric_pset
+from expanded_oracle import euler_defect, translation_defect
 
 import calogero_ss.cli as cli
 from calogero_ss.model import (CouplingParams, Validity, classify_validity,
                                coupling_from_exponent,
                                pt_invariance_residual, solve_nu_prime)
-from calogero_ss.polynomials import (GENERIC_LAMBDAS, euler_defect,
-                                     solve_generalized_laplace,
-                                     translation_defect)
+from calogero_ss.polynomials import (GENERIC_LAMBDAS,
+                                     solve_generalized_laplace)
 from calogero_ss.scattering import (JostPair, match_n_body, match_two_body,
                                     momentum_sampler, ss_scan,
                                     transmission_sweep, wronskian,

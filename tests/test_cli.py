@@ -1,14 +1,17 @@
 """CLI contract: schemas, exit codes, determinism, config/env handling."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
 import calogero_ss.cli as cli
 import calogero_ss.scattering as scattering
 from calogero_ss.cli import (COEFFS_HEADER, EXIT_CHECK_FAILED,
-                             EXIT_COUPLINGS, EXIT_IO, EXIT_OK, EXIT_SS_FOUND,
-                             EXIT_USAGE, SCAN_HEADER, main)
+                             EXIT_COUPLINGS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
+                             EXIT_SS_FOUND, EXIT_USAGE, SCAN_HEADER, main)
 from calogero_ss.scattering import ScanSummary
 
 
@@ -146,6 +149,23 @@ class TestCoeffs:
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
                          "--nu-prime", "1", "--delta", "0.5", "--phi-use-nu")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n,nu_prime,p,expected", [
+        ("6", "3", "0.01", EXIT_OK),
+        ("2", "30", "1e-5", EXIT_OK),
+        ("6", "3", "1e-6", EXIT_NUMERICAL),
+    ])
+    def test_amplitude_underflow(self, capsys, n, nu_prime, p, expected):
+        # |A|^2 underflows to 0 in the first two; A itself in the third
+        code, out, err = run(capsys, "coeffs", "--n", n, "--nu-prime",
+                             nu_prime, "--delta", "-0.5", "--p", p,
+                             "--r-minus", "1")
+        assert code == expected
+        if expected == EXIT_OK:
+            lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+            assert abs(float(lines[1].split(",")[9]) - 1.0) < 1e-12
+        else:
+            assert "numerical failure" in err
 
     def test_invalid_couplings(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
@@ -316,6 +336,19 @@ class TestPolys:
                            "--lambda", "7/10")
         assert code == EXIT_OK
         assert json.loads(out)["dimension"] == 0
+
+    def test_output_digest(self, capsys):
+        # every (N, k) <= (6, 8) at three lambdas, byte for byte
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            for k in range(9):
+                for lam in ("7/10", "13/9", "-1/2"):
+                    code, out, _ = run(capsys, "polys", "--n", str(n),
+                                       "--k", str(k), f"--lambda={lam}")
+                    assert code == EXIT_OK
+                    digest.update(out.encode())
+        assert digest.hexdigest() == ("93a103ea89f9947ad4317caf14946dd8"
+                                      "e8f45015928702e061b8a563a0ad2de4")
 
     def test_bad_lambda(self, capsys):
         code, _, _ = run(capsys, "polys", "--n", "3", "--k", "1",

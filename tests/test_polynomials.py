@@ -3,14 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from expanded_oracle import (_compress_symmetric, apply_laplace_operator,
+                             euler_defect, expand, expanded_candidates,
+                             translation_defect)
 
 from calogero_ss.errors import DomainError, ResourceLimitError
-from calogero_ss.polynomials import (GENERIC_LAMBDAS,
-                                     apply_laplace_operator, degeneracy,
-                                     euler_defect, evaluate_poly,
-                                     generic_degeneracy,
+from calogero_ss.polynomials import (GENERIC_LAMBDAS, _partitions_min2,
+                                     degeneracy, evaluate_poly,
+                                     generic_degeneracy, partition_order_key,
                                      solve_generalized_laplace,
-                                     ti_symmetric_basis, translation_defect)
+                                     ti_symmetric_basis)
 
 
 class TestBasis:
@@ -43,7 +45,7 @@ class TestBasis:
 
     def test_permutation_invariance_structural(self):
         for b in ti_symmetric_basis(4, 6):
-            expanded = b.expand()
+            expanded = expand(b)
             for i, j in [(0, 1), (1, 3), (0, 2)]:
                 swapped = {}
                 for m, c in expanded.items():
@@ -85,14 +87,14 @@ class TestGeneralizedLaplace:
             sys = solve_generalized_laplace(3, 3, lam)
             assert sys.nullspace_dim == 1
             sol = sys.solutions[0]
-            assert apply_laplace_operator(sol.expand(), 3, lam) == {}
+            assert apply_laplace_operator(expand(sol), 3, lam) == {}
 
     def test_solutions_satisfy_equation_exactly(self):
         for n, k in [(4, 3), (4, 4), (3, 6), (4, 6), (5, 5)]:
             for lam in GENERIC_LAMBDAS:
                 sys = solve_generalized_laplace(n, k, lam)
                 for sol in sys.solutions:
-                    assert apply_laplace_operator(sol.expand(), n, lam) == {}
+                    assert apply_laplace_operator(expand(sol), n, lam) == {}
                     assert translation_defect(sol) == {}
                     assert euler_defect(sol) == {}
 
@@ -101,7 +103,7 @@ class TestGeneralizedLaplace:
         # multiples of it are absent from every generic nullspace.
         for n in [2, 3, 4]:
             p2 = ti_symmetric_basis(n, 2)[0]
-            img = apply_laplace_operator(p2.expand(), n, Fraction(7, 10))
+            img = apply_laplace_operator(expand(p2), n, Fraction(7, 10))
             assert img != {}
 
     def test_float_lambda_exact(self):
@@ -132,26 +134,6 @@ class TestDegeneracy:
     def test_counting_rule(self):
         # Generic dimension = partitions(k; parts 2..N) - partitions(k-2),
         # verified independently for a spread of cases.
-        def npart(k, maxpart):
-            if k == 0:
-                return 1
-            if k < 0:
-                return 0
-            count = 0
-
-            def rec(rem, cap):
-                nonlocal count
-                if rem == 0:
-                    count += 1
-                    return
-                for part in range(min(cap, rem), 1, -1):
-                    if rem - part != 1 or rem == part + 1:
-                        pass
-                    rec(rem - part, part)
-
-            rec(k, maxpart)
-            return count
-
         # partitions into parts in [2, N]
         def p2n(k, n):
             if k == 0:
@@ -209,3 +191,35 @@ class TestEvaluate:
         one = ti_symmetric_basis(3, 0)[0]
         with pytest.raises(DomainError):
             evaluate_poly(one, (1.0, 2.0))
+
+
+class TestExpandedOracle:
+    """Power-sum form against the expanded-monomial algebra."""
+
+    @pytest.mark.parametrize("n,k", [(2, 6), (3, 8), (4, 5), (4, 8),
+                                     (5, 4), (5, 7), (6, 4)])
+    @pytest.mark.parametrize("lam", [Fraction(7, 10), Fraction(0.3)])
+    def test_basis_matrix_and_values(self, n, k, lam):
+        expected = dict(zip(_partitions_min2(k), expanded_candidates(n, k)))
+        system = solve_generalized_laplace(n, k, lam)
+        for b in system.basis:
+            (partition,) = b.power_sums
+            assert b.coefficients == expected[partition]
+        images = [_compress_symmetric(
+            apply_laplace_operator(expand(b), n, lam), n)
+            for b in system.basis]
+        rows = sorted({m for img in images for m in img},
+                      key=partition_order_key, reverse=True)
+        assert system.constraint_matrix == tuple(
+            tuple(img.get(m, Fraction(0)) for img in images) for m in rows)
+        x = [Fraction(3 * j * j - 7 * j, j + 2) for j in range(n)]
+        for sol in system.solutions:
+            direct = Fraction(0)
+            for mon, c in expand(sol).items():
+                term = c
+                for base, e in zip(x, mon):
+                    term *= base ** e
+                direct += term
+            assert evaluate_poly(sol, x) == direct
+            assert evaluate_poly(sol, [float(v) for v in x]) == \
+                pytest.approx(float(direct), rel=1e-9, abs=1e-9)
