@@ -37,7 +37,6 @@ DECAY_SLOPE_MAX = -0.25
 DECAY_DROP_MIN = 10.0
 
 M22_FINITE_NONZERO = "Finite-Nonzero"
-M22_ZERO = "Zero"
 M22_DIVERGENT = "Divergent"
 
 
@@ -425,11 +424,10 @@ class TransferData:
 def transfer_matrix(match: ScatteringMatch) -> TransferData:
     if match.a is None or match.b is None or match.d is None:
         raise DomainError("transfer matrix needs a two-body match")
-    if abs(match.a) == 0.0:
-        # divergent reflection: the only way M22 could vanish
-        return TransferData(match.d, 0j, match.a, match.b,
-                            ((complex("nan"),) * 2,) * 2, complex("nan"),
-                            complex("inf"), M22_ZERO)
+    if match.a == 0:
+        raise NumericalFailureError(
+            f"incoming amplitude is 0 at r_-={match.r_minus}: "
+            "transfer matrix undefined")
     t = match.d / match.a
     rho = match.b / match.a
     if abs(t) < DIVERGENT_TOL:
@@ -450,8 +448,8 @@ def transfer_status(params: CouplingParams, p: float = 1.0,
                     r_minus: float = 50.0, r_plus: float = 5.0) -> str:
     """Representative M22 classification at matched radial couplings.
 
-    The scan needs only "not Zero"; a two-body match at the same exponent
-    and deformation stands in for any N.
+    The scan only reports it; a two-body match at the same exponent and
+    deformation stands in for any N.
     """
     two_body = CouplingParams.from_exponent(2, params.nu_prime, params.delta)
     return transfer_matrix(match_two_body(two_body, p, r_minus,

@@ -21,8 +21,7 @@ from calogero_ss.scattering import (JostPair, match_n_body, match_two_body,
                                     momentum_sampler, ss_scan,
                                     transmission_sweep, wronskian,
                                     wronskian_report)
-from calogero_ss.specialfn import (_asymptotic_value, _series_value,
-                                   bessel_j, switchover)
+from calogero_ss.specialfn import _forward, _miller, bessel_j, switchover
 from calogero_ss.wavefunction import (MomentumSet, SuperpositionCoeffs,
                                       eigen_residual, ground_state,
                                       make_scattering_state,
@@ -132,15 +131,16 @@ def test_criterion_06_special_functions():
             c = bessel_j(order + 1.0, x)
             assert abs(a + c - (2 * order / x) * b) < \
                 1e-10 * max(abs(a), abs(b), abs(c), 1e-30)
-    for order in (0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0):
+    for order in (0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 39.0, 54.0):
+        n = math.floor(order)
         xs_band = [f * switchover(order) for f in (0.9, 1.0, 1.1)]
         for x in xs_band:
-            s = _series_value(order, x)
-            a, est = _asymptotic_value(order, x)
-            assert est < 1e-12
-            assert abs(s - a) < 1e-9 * max(1.0, abs(s))
+            miller = _miller(order - n, max(n, 1), x)
+            forward = _forward(order - n, max(n, 1), x)
+            for m, f in zip(miller, forward):
+                assert abs(m - f) < 1e-9 * max(1.0, abs(m))
     report("06 half-integer closed forms < 1e-12; recurrence < 1e-10; "
-           "switchover band agreement < 1e-9")
+           "Miller/forward band agreement < 1e-9")
 
 
 def test_criterion_07_polynomial_degeneracies():

@@ -1,5 +1,6 @@
 """CLI contract: schemas, exit codes, determinism, config/env handling."""
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -387,6 +388,20 @@ class TestConfigAndEnv:
                          "--g", "0", "--delta", "0")
         assert code == EXIT_USAGE
 
+
+
+def test_parser_freed_before_command_returns(capsys):
+    # argparse parsers are reference cycles; main frees its own, so an
+    # in-process caller is left with no cyclic garbage per command.
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run(capsys, "nu-prime", "--g", "2", "--delta", "0")
+        leftover = gc.collect()
+    finally:
+        gc.enable()
+    assert code == EXIT_OK
+    assert leftover < 40
 
 
 def test_console_script_installed():

@@ -7,10 +7,12 @@ import random
 import pytest
 from conftest import symmetric_pset
 
-from calogero_ss.errors import (DegenerateEnvelopeError, DomainError)
+from calogero_ss.errors import (DegenerateEnvelopeError, DomainError,
+                                NumericalFailureError)
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
-                                    JostPair, ScanSummary, TrendDiscrepancy,
+                                    JostPair, ScanSummary, ScatteringMatch,
+                                    TrendDiscrepancy,
                                     match_n_body, match_two_body,
                                     momentum_sampler, pair_factors,
                                     sample_momenta, ss_scan,
@@ -19,7 +21,9 @@ from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     transmitted_coefficient_readings,
                                     wronskian, wronskian_product_form,
                                     wronskian_report)
-from calogero_ss.wavefunction import MomentumSet, SuperpositionCoeffs
+from calogero_ss.wavefunction import (MomentumSet, SuperpositionCoeffs,
+                                      laplace_solutions,
+                                      reference_momentum_set)
 
 
 class TestWronskian:
@@ -300,7 +304,6 @@ class TestTransferMatrix:
         m = match_two_body(params, 1.0, 50.0, 5.0)
         td = transfer_matrix(m)
         phase = cmath.exp(1.1j)
-        from calogero_ss.scattering import ScatteringMatch
         rotated = ScatteringMatch(
             r_minus=m.r_minus, r_plus=m.r_plus, a=m.a * phase, b=m.b * phase,
             d=m.d * phase, a1=None, b1=None, reflection=m.reflection,
@@ -312,6 +315,51 @@ class TestTransferMatrix:
     def test_status_helper(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
         assert transfer_status(params) == M22_FINITE_NONZERO
+
+    def test_zero_incoming_amplitude_raises(self):
+        match = ScatteringMatch(r_minus=50.0, r_plus=5.0, a=0j, b=1.0 + 0j,
+                                d=0.5 + 0j, a1=None, b1=None,
+                                reflection=math.inf, transmission=math.inf,
+                                derivative_mismatch=0.0)
+        with pytest.raises(NumericalFailureError):
+            transfer_matrix(match)
+
+
+class TestReachableDomain:
+    def test_sweep(self):
+        # N = 2..6, nu' x delta, every k <= 4 with nonzero degeneracy,
+        # p x r_-: 1305 cases.  Each returns R = 1 or, for odd k only,
+        # reports a degenerate envelope: P(-x) = -P(x) for odd degree and
+        # the default direction is mapped to its negative by reversal, so
+        # P vanishes there.  Any other exception fails the test.
+        cases = degenerate = 0
+        for n in range(2, 7):
+            for nu_prime in (0.25, 1.0, 3.0):
+                for delta in (-0.5, 0.0, 0.5, 1.0):
+                    params = CouplingParams.from_exponent(n, nu_prime, delta)
+                    ks = [0] if n == 2 else [
+                        k for k in range(5) if laplace_solutions(params, k)]
+                    for k, p, r_minus in ((k, p, r) for k in ks
+                                          for p in (0.01, 1.0, 10.0)
+                                          for r in (1.0, 50.0, 1e4)):
+                        cases += 1
+                        if n == 2:
+                            m = match_two_body(params, p, r_minus, 5.0)
+                            assert abs(m.reflection - 1.0) <= 1e-12
+                            continue
+                        coeffs = SuperpositionCoeffs.for_params(
+                            params, {(k, 1): 1.0})
+                        pset = reference_momentum_set(n, p)
+                        try:
+                            m = match_n_body(params, pset, coeffs, r_minus)
+                        except DegenerateEnvelopeError:
+                            assert k % 2 == 1, (n, nu_prime, delta, k)
+                            degenerate += 1
+                            continue
+                        assert abs(m.reflection - 1.0) <= 1e-12, (
+                            n, nu_prime, delta, k, p, r_minus)
+        assert cases == 1305
+        assert 0 < degenerate < cases
 
 
 class TestTransmissionSweep:
