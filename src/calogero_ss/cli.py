@@ -286,17 +286,34 @@ def _builtin_samples(n: int, seed: int, count: int = 20):
     return out
 
 
+def _read_configs(path: str) -> list[tuple[float, ...]]:
+    """Rows of a {"configs": [[x1, ..., xN], ...]} file, as floats.
+
+    Only the shape is checked here; eigen_residual checks each row's
+    coordinate count and order.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise UsageError(f"malformed configs file: {err}") from None
+    rows = doc.get("configs") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(
+                isinstance(c, (int, float)) and not isinstance(c, bool)
+                for c in row)
+            for row in rows):
+        raise UsageError('configs file must hold {"configs": '
+                         '[[x1, ..., xN], ...]} with numeric coordinates')
+    return [tuple(float(c) for c in row) for row in rows]
+
+
 def cmd_residual(args) -> int:
     params = _params_from_args(args)
     if args.p is None or args.p <= 0.0:
         raise UsageError("residual needs --p > 0")
     if args.configs is not None:
-        try:
-            with open(args.configs) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise UsageError(f"malformed configs file: {err}") from None
-        samples = [tuple(float(c) for c in row) for row in doc["configs"]]
+        samples = _read_configs(args.configs)
     else:
         samples = _builtin_samples(args.n, args.seed)
     pset = reference_momentum_set(args.n, args.p)
@@ -413,7 +430,8 @@ def build_parser() -> _Parser:
     p_res.add_argument("--h", type=float, default=1e-3,
                        help="step factor times the local minimum gap")
     p_res.add_argument("--configs", type=str, default=None,
-                       help='JSON file {"configs": [[x1..xN], ...]}')
+                       help='JSON file {"configs": [[x1..xN], ...]}, '
+                       'N coordinates per row, strictly descending')
     p_res.add_argument("--seed", type=int, default=0)
     p_res.add_argument("--tol", type=float, default=1e-6)
     p_res.set_defaults(func=cmd_residual)

@@ -207,14 +207,29 @@ def hamiltonian_terms(f: Callable[[tuple], complex], x: Sequence[float],
     All four share one 2N+1-point stencil of step h.  No ordering of x is
     assumed; callers keep the stencil off the coincidence hyperplanes.
     """
-    n = len(x)
     center = complex(f(tuple(x)))
+    plus, minus = stencil_values(f, x, h)
+    return terms_from_stencil(x, center, plus, minus, g, delta, omega, h)
+
+
+def stencil_values(f: Callable[[tuple], complex], x: Sequence[float],
+                   h: float) -> tuple[list[complex], list[complex]]:
+    """f at x + h e_j and at x - h e_j for j = 1..N (2N calls)."""
     plus, minus = [], []
-    for j in range(n):
+    for j in range(len(x)):
         xp = list(x); xp[j] += h
         xm = list(x); xm[j] -= h
         plus.append(complex(f(tuple(xp))))
         minus.append(complex(f(tuple(xm))))
+    return plus, minus
+
+
+def terms_from_stencil(x: Sequence[float], center: complex,
+                       plus: Sequence[complex], minus: Sequence[complex],
+                       g: float, delta: float, omega: float, h: float
+                       ) -> tuple[complex, complex, complex, complex]:
+    """The four term values from f(x) and the stencil values around it."""
+    n = len(x)
     kinetic = -0.5 * sum((plus[j] - 2.0 * center + minus[j]) / (h * h)
                          for j in range(n))
     inv_sq = (g / 2.0) * sum(

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 
@@ -357,27 +357,48 @@ def evaluate_poly(poly: SymPolynomial, x: Sequence):
     """Evaluate at a configuration via centered variables.
 
     Exact when every coordinate is an int or Fraction; float otherwise.
-    The power sums q_2..q_k of y = x - mean(x) are formed once and the
-    stored products summed; centering keeps float evaluation well
-    conditioned.
+    The power sums q_a of y = x - mean(x) that the stored products use
+    are formed once and the products summed; centering keeps float
+    evaluation well conditioned.
     """
-    if len(x) != poly.n_vars:
+    _check_size(poly.n_vars, x)
+    if all(isinstance(c, (int, Fraction)) for c in x):
+        mean = Fraction(sum(Fraction(c) for c in x), len(x))
+        terms = list(poly.power_sums.items())
+        return _centred_sum([Fraction(c) - mean for c in x], terms,
+                            _parts_used(terms), Fraction(0))
+    return float_evaluator(poly)(x)
+
+
+def float_evaluator(poly: SymPolynomial) -> Callable[[Sequence], float]:
+    """evaluate_poly's float path with the coefficients converted once."""
+    n_vars = poly.n_vars
+    terms = [(part, float(coeff)) for part, coeff in poly.power_sums.items()]
+    parts = _parts_used(terms)
+
+    def value(x: Sequence) -> float:
+        _check_size(n_vars, x)
+        mean = sum(map(float, x)) / len(x)
+        return _centred_sum([float(c) - mean for c in x], terms, parts, 0.0)
+    return value
+
+
+def _check_size(n_vars: int, x: Sequence) -> None:
+    if len(x) != n_vars:
         raise DomainError(
             f"configuration has {len(x)} coordinates, polynomial wants "
-            f"{poly.n_vars}")
-    exact = all(isinstance(c, (int, Fraction)) for c in x)
-    if exact:
-        mean = Fraction(sum(Fraction(c) for c in x), len(x))
-        y = [Fraction(c) - mean for c in x]
-        total = Fraction(0)
-    else:
-        mean = sum(float(c) for c in x) / len(x)
-        y = [float(c) - mean for c in x]
-        total = 0.0
-    q = [None, None] + [sum(v ** a for v in y)
-                        for a in range(2, poly.degree + 1)]
-    for partition, coeff in poly.power_sums.items():
-        term = coeff if exact else float(coeff)
+            f"{n_vars}")
+
+
+def _parts_used(terms: list) -> set[int]:
+    return {a for part, _ in terms for a in part}
+
+
+def _centred_sum(y: list, terms: list, parts: set[int], total):
+    """total + sum of coeff * prod q_part over terms, q_a = sum_j y_j^a."""
+    q = {a: sum([v ** a for v in y]) for a in parts}
+    for partition, coeff in terms:
+        term = coeff
         for a in partition:
             term = term * q[a]
         total += term

@@ -24,7 +24,7 @@ from .errors import (DegenerateEnvelopeError, DomainError,
                      NumericalFailureError)
 from .model import CouplingParams, radial_indices
 from .polynomials import evaluate_poly
-from .specialfn import bessel_j, bessel_j_prime
+from .specialfn import bessel_eval
 from .wavefunction import (MomentumSet, SuperpositionCoeffs, ground_state,
                            laplace_solutions, radial_coordinate)
 
@@ -258,8 +258,8 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
     idx = radial_indices(params, 0)
     b_ord, c = idx.b_prime, idx.c
 
-    jm = bessel_j(b_ord, p * r_minus)
-    jm_d = bessel_j_prime(b_ord, p * r_minus)  # d/d(pr)
+    inner = bessel_eval(b_ord, p * r_minus)
+    jm, jm_d = inner.value, inner.derivative  # d/d(pr)
     em = cmath.exp(-1j * p * r_minus)
     ep = cmath.exp(1j * p * r_minus)
     # rows: value and derivative of the envelope (common power canceled)
@@ -276,8 +276,8 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
     b = (m11 * rhs2 - rhs1 * m21) / det
 
     # transmitted side: one constant from value continuity
-    jp = bessel_j(b_ord, p * r_plus)
-    jp_d = bessel_j_prime(b_ord, p * r_plus)
+    outer = bessel_eval(b_ord, p * r_plus)
+    jp, jp_d = outer.value, outer.derivative
     d = math.sqrt(r_plus) * jp * cmath.exp(1j * p * r_plus)
     # derivative defect of the over-determined outgoing condition
     pref = p ** (idx.n_prime - 0.5)
@@ -304,8 +304,8 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
     these are reported alongside it for comparison only.
     """
     idx = radial_indices(params, 0)
-    j = bessel_j(idx.b_prime, p * r_plus)
-    jd = bessel_j_prime(idx.b_prime, p * r_plus)
+    ev = bessel_eval(idx.b_prime, p * r_plus)
+    j, jd = ev.value, ev.derivative
     pref = cmath.exp(1j * p * r_plus) / p ** (idx.n_prime - 0.5)
     return {
         "derivative_squared": r_plus * jd * jd * pref,
@@ -317,7 +317,7 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
 def _ray_profile(params: CouplingParams, pset: MomentumSet,
                  coeffs: SuperpositionCoeffs,
                  direction: Sequence[float]):
-    """Closed-form F(r), S(r) and derivatives along a configuration ray.
+    """Closed-form (F(r), F'(r)), S(r) and S'(r) along a configuration ray.
 
     Along x = (r / r_hat) * x_hat every polynomial factor is homogeneous,
     so the profile collapses to r-powers times Bessel factors:
@@ -344,16 +344,13 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
         terms.append((k, complex(ct) * pval / r_hat ** k))
     power = g_exp - b0
 
-    def f_value(r: float) -> complex:
-        return j0 * r ** power * sum(
-            c * bessel_j(b0 + k, pset.p * r) for k, c in terms)
-
-    def f_derivative(r: float) -> complex:
-        total = sum(c * bessel_j(b0 + k, pset.p * r) for k, c in terms)
-        total_d = sum(c * pset.p * bessel_j_prime(b0 + k, pset.p * r)
-                      for k, c in terms)
-        return j0 * (power * r ** (power - 1.0) * total
-                     + r ** power * total_d)
+    def f_pair(r: float) -> tuple[complex, complex]:
+        evs = [(c, bessel_eval(b0 + k, pset.p * r)) for k, c in terms]
+        total = sum(c * ev.value for c, ev in evs)
+        total_d = sum(c * pset.p * ev.derivative for c, ev in evs)
+        return (j0 * r ** power * total,
+                j0 * (power * r ** (power - 1.0) * total
+                      + r ** power * total_d))
 
     envelope_const = sum(c for _, c in terms) * j0 / math.sqrt(2.0 * math.pi)
 
@@ -363,7 +360,7 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
     def s_derivative(r: float) -> complex:
         return envelope_const * (power - 0.5) * r ** (power - 1.5)
 
-    return f_value, f_derivative, s_value, s_derivative
+    return f_pair, s_value, s_derivative
 
 
 def match_n_body(params: CouplingParams, pset: MomentumSet,
@@ -382,8 +379,8 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
     if direction is None:
         n = params.n_particles
         direction = tuple((n - 1) / 2.0 - j for j in range(n))
-    f, fd, s, sd = _ray_profile(params, pset, coeffs, direction)
-    f_v, fd_v = f(r_minus), fd(r_minus)
+    f_pair, s, sd = _ray_profile(params, pset, coeffs, direction)
+    f_v, fd_v = f_pair(r_minus)
     s_v, sd_v = s(r_minus), sd(r_minus)
     if abs(s_v) < 1e-300:
         raise DegenerateEnvelopeError(

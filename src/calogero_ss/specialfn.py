@@ -184,15 +184,7 @@ def bessel_j(order: float, x: float) -> float:
 
 def bessel_j_prime(order: float, x: float) -> float:
     """dJ_order/dx = J_(order-1) - (order/x) J_order, from one ladder pass."""
-    if not (math.isfinite(order) and math.isfinite(x)) or x <= 0.0:
-        raise DomainError("bessel_j_prime: need finite order and x > 0, "
-                          f"got ({order!r}, {x!r})")
-    if order < 0.0 and order == math.floor(order):
-        n = int(-order)
-        val = bessel_j_prime(float(n), x)
-        return -val if n % 2 else val
-    lo, hi = _ladder_pair(order, x)
-    return lo - (order / x) * hi
+    return bessel_eval(order, x).derivative
 
 
 def asymptotic_threshold(order: float, max_rel_error: float = 1e-6) -> float:
@@ -238,5 +230,15 @@ class BesselEval:
 
 
 def bessel_eval(order: float, x: float) -> BesselEval:
-    """Evaluate J and dJ/dx together."""
-    return BesselEval(order, x, bessel_j(order, x), bessel_j_prime(order, x))
+    """J and dJ/dx at x > 0 together, from one ladder pass."""
+    if not (math.isfinite(order) and math.isfinite(x)) or x <= 0.0:
+        raise DomainError("bessel_eval: need finite order and x > 0, "
+                          f"got ({order!r}, {x!r})")
+    if order < 0.0 and order == math.floor(order):
+        n = int(-order)
+        ev = bessel_eval(float(n), x)
+        if n % 2:
+            return BesselEval(order, x, -ev.value, -ev.derivative)
+        return BesselEval(order, x, ev.value, ev.derivative)
+    lo, hi = _ladder_pair(order, x)
+    return BesselEval(order, x, hi, lo - (order / x) * hi)

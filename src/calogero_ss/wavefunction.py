@@ -28,8 +28,9 @@ from typing import Callable, Mapping, Sequence
 from . import polynomials
 from .errors import (AsymptoticRangeError, DomainError,
                      SingularConfigurationError)
-from .model import CouplingParams, hamiltonian_terms, radial_indices
-from .polynomials import SymPolynomial, evaluate_poly
+from .model import (CouplingParams, hamiltonian_terms, radial_indices,
+                    stencil_values, terms_from_stencil)
+from .polynomials import SymPolynomial, evaluate_poly, float_evaluator
 from .specialfn import asymptotic_threshold, bessel_j
 
 DEFAULT_MIN_GAP = 1e-9
@@ -71,7 +72,7 @@ class Configuration:
 def _coords_of(x) -> tuple[float, ...]:
     if isinstance(x, Configuration):
         return x.coords
-    return tuple(float(c) for c in x)
+    return tuple(map(float, x))
 
 
 SUM_ZERO_TOL = 1e-12
@@ -145,9 +146,11 @@ class SuperpositionCoeffs:
 def radial_coordinate(x) -> float:
     """Hyper-radius r with r^2 = (1/N) sum_{i<j} (x_i - x_j)^2."""
     c = _coords_of(x)
-    n = len(c)
-    total = sum((c[i] - c[j]) ** 2 for i in range(n) for j in range(i + 1, n))
-    return math.sqrt(total / n)
+    return _radius(pair_differences(c), len(c))
+
+
+def _radius(diffs: Sequence[float], n: int) -> float:
+    return math.sqrt(sum([d ** 2 for d in diffs]) / n)
 
 
 def pair_differences(x) -> list[float]:
@@ -162,7 +165,11 @@ def ground_state(x, nu_prime: float, min_gap: float = 1e-12) -> float:
     Positive in the open sector.  Exact coincidences give 0 for nu' > 0
     and 1 for nu' = 0; for nu' < 0 a gap below min_gap is singular.
     """
-    diffs = pair_differences(x)
+    return _jastrow(pair_differences(x), nu_prime, min_gap)
+
+
+def _jastrow(diffs: Sequence[float], nu_prime: float,
+             min_gap: float = 1e-12) -> float:
     if any(d < 0 for d in diffs):
         raise DomainError("configuration must be ordered descending")
     if nu_prime < 0.0 and min(diffs) < min_gap:
@@ -213,13 +220,7 @@ def scattering_eigenfunction(x, pset: MomentumSet,
     """Single degenerate scattering state at degree k (poly=None means 1)."""
     if pset.p <= 0.0:
         raise DomainError("scattering states need p > 0")
-    coords = _coords_of(x)
-    idx = radial_indices(params, k)
-    r = radial_coordinate(coords)
-    value = ground_state(coords, params.nu_prime) \
-        * radial_solution(r, pset.p, idx.b_prime) \
-        * _poly_value(poly, coords)
-    return complex(value)
+    return _state_evaluator(params, pset.p, k, poly)(x)
 
 
 def general_eigenfunction(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
@@ -252,14 +253,39 @@ def make_scattering_state(params: CouplingParams, pset: MomentumSet,
     sols = laplace_solutions(params, k)
     if k > 0 and not sols:
         raise DomainError(f"degree {k} has zero degeneracy")
-    poly = sols[q - 1] if k > 0 else None
-    idx = radial_indices(params, k)
+    return _state_evaluator(params, pset.p, k, sols[q - 1] if k > 0 else None)
 
-    def psi(coords):
-        r = radial_coordinate(coords)
-        return complex(ground_state(coords, params.nu_prime)
-                       * radial_solution(r, pset.p, idx.b_prime)
-                       * _poly_value(poly, tuple(coords)))
+
+def _state_evaluator(params: CouplingParams, p: float, k: int,
+                     poly: SymPolynomial | None
+                     ) -> Callable[[tuple], complex]:
+    """psi(coords) of one degree-k state, with its setup done once.
+
+    Per point the pair differences are formed once; they give the ordering
+    check, the Jastrow product and r.  The float operations and their
+    order are those of ground_state, radial_coordinate, radial_solution
+    and evaluate_poly.
+    """
+    n = params.n_particles
+    if poly is not None and poly.n_vars != n:
+        raise DomainError(f"polynomial in {poly.n_vars} variables for "
+                          f"{n} particles")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    nu_prime = params.nu_prime
+    b_prime = radial_indices(params, k).b_prime
+    poly_value = None if poly is None else float_evaluator(poly)
+
+    def psi(x) -> complex:
+        c = _coords_of(x)
+        if len(c) != n:
+            raise DomainError(f"configuration has {len(c)} coordinates, "
+                              f"the state wants {n}")
+        diffs = [c[i] - c[j] for i, j in pairs]
+        value = _jastrow(diffs, nu_prime) \
+            * radial_solution(_radius(diffs, n), p, b_prime)
+        if poly_value is not None:
+            value *= poly_value(c)
+        return complex(value)
     return psi
 
 
@@ -338,27 +364,27 @@ def plane_wave_out(x, pset: MomentumSet, amplitude: complex,
 
 # --- finite-difference Hamiltonian -------------------------------------------
 
-def _hamiltonian_terms(psi: Callable[[tuple], complex],
-                       coords: tuple[float, ...], params: CouplingParams,
-                       h: float) -> tuple[complex, complex, complex, complex]:
-    """(kinetic, inverse-square, deformation, harmonic) term values."""
-    n = len(coords)
+def _check_stencil(gaps: Sequence[float], h: float) -> None:
+    """The 2h-wide stencil must stay inside the sector."""
     if h <= 0.0:
         raise DomainError("need h > 0")
-    gaps = [coords[j] - coords[j + 1] for j in range(n - 1)]
     if min(gaps) <= 2.0 * h:
         raise SingularConfigurationError(
             f"stencil width 2h={2 * h:.3e} crosses a coincidence hyperplane "
             f"(min gap {min(gaps):.3e})")
-    return hamiltonian_terms(psi, coords, params.g, params.delta,
-                             params.omega, h)
+
+
+def _adjacent_gaps(coords: Sequence[float]) -> list[float]:
+    return [coords[j] - coords[j + 1] for j in range(len(coords) - 1)]
 
 
 def apply_hamiltonian_fd(psi: Callable[[tuple], complex], x,
                          params: CouplingParams, h: float) -> complex:
     """(H psi)(x) with second-order central differences."""
     coords = _coords_of(x)
-    return sum(_hamiltonian_terms(psi, coords, params, h))
+    _check_stencil(_adjacent_gaps(coords), h)
+    return sum(hamiltonian_terms(psi, coords, params.g, params.delta,
+                                 params.omega, h))
 
 
 def state_energy(pset: MomentumSet) -> float:
@@ -376,26 +402,77 @@ def eigen_residual(psi: Callable[[tuple], complex], p_squared: float,
                    h_factor: float = 1e-3) -> float:
     """max over samples of |H psi - p^2 psi| / guard.
 
+    Each sample costs 2N+1 psi calls: psi at the sample is both the
+    stencil centre and the p^2 psi target.  Every sample is checked (N
+    finite coordinates, strictly descending) before psi is called.
+
     The guard is |p^2 psi| floored at NEAR_NODE_GUARD times the global
     sample scale; for p^2 = 0 (zero modes) the per-sample scale is the
     term-magnitude sum (cancellation quality), floored at the natural
     curvature scale |psi| * sum(1/gap^2) so states annihilated term by
     term do not divide by roundoff.
     """
-    rows = []
-    for x in samples:
+    points = _residual_samples(samples, params.n_particles)
+    centres = [complex(psi(coords)) for coords in points]
+    return _residual(psi, p_squared, points, centres, params, h_factor)
+
+
+def residual_convergence(psi: Callable[[tuple], complex], p_squared: float,
+                         samples: Sequence, params: CouplingParams,
+                         h_factor: float = 1e-3) -> tuple[float, float, float]:
+    """(residual at h, residual at h/2, ratio); ~4 for a second-order stencil.
+
+    psi at each sample is evaluated once and shared by both step sizes,
+    so a sample costs 4N+1 psi calls.
+    """
+    points = _residual_samples(samples, params.n_particles)
+    centres = [complex(psi(coords)) for coords in points]
+    res_h = _residual(psi, p_squared, points, centres, params, h_factor)
+    res_h2 = _residual(psi, p_squared, points, centres, params,
+                       h_factor / 2.0)
+    return res_h, res_h2, res_h / res_h2 if res_h2 > 0 else math.inf
+
+
+def _residual_samples(samples: Sequence, n: int) -> list[tuple[float, ...]]:
+    """The samples as coordinate tuples, each checked for the sector."""
+    points = []
+    for i, x in enumerate(samples):
         coords = _coords_of(x)
-        gaps = [coords[j] - coords[j + 1] for j in range(len(coords) - 1)]
+        if len(coords) != n:
+            raise DomainError(f"sample {i} has {len(coords)} coordinates, "
+                              f"need {n}")
+        if not all(math.isfinite(c) for c in coords):
+            raise DomainError(f"sample {i} has a non-finite coordinate")
+        gaps = _adjacent_gaps(coords)
+        if any(g < 0 for g in gaps):
+            raise DomainError(f"sample {i} is not ordered descending "
+                              "(x_1 >= ... >= x_N)")
+        if min(gaps) == 0.0:
+            raise SingularConfigurationError(
+                f"sample {i} has coincident coordinates")
+        points.append(coords)
+    if not points:
+        raise DomainError("no samples")
+    return points
+
+
+def _residual(psi: Callable[[tuple], complex], p_squared: float,
+              points: Sequence[tuple[float, ...]], centres: Sequence[complex],
+              params: CouplingParams, h_factor: float) -> float:
+    """eigen_residual at one step factor, given psi at every sample."""
+    rows = []
+    for coords, psi_val in zip(points, centres):
+        gaps = _adjacent_gaps(coords)
         h = h_factor * min(gaps)
-        terms = _hamiltonian_terms(psi, coords, params, h)
+        _check_stencil(gaps, h)
+        plus, minus = stencil_values(psi, coords, h)
+        terms = terms_from_stencil(coords, psi_val, plus, minus, params.g,
+                                   params.delta, params.omega, h)
         hpsi = sum(terms)
-        psi_val = complex(psi(coords))
         target = p_squared * psi_val
         term_scale = sum(abs(t) for t in terms)
         curvature = abs(psi_val) * sum(1.0 / (g * g) for g in gaps)
         rows.append((abs(hpsi - target), abs(target), term_scale, curvature))
-    if not rows:
-        raise DomainError("no samples")
     global_scale = max(t for _, t, _, _ in rows)
     out = 0.0
     for err, target_mag, term_scale, curvature in rows:
@@ -405,12 +482,3 @@ def eigen_residual(psi: Callable[[tuple], complex], p_squared: float,
             denom = max(target_mag, NEAR_NODE_GUARD * global_scale)
         out = max(out, err / denom)
     return out
-
-
-def residual_convergence(psi: Callable[[tuple], complex], p_squared: float,
-                         samples: Sequence, params: CouplingParams,
-                         h_factor: float = 1e-3) -> tuple[float, float, float]:
-    """(residual at h, residual at h/2, ratio); ~4 for a second-order stencil."""
-    res_h = eigen_residual(psi, p_squared, samples, params, h_factor)
-    res_h2 = eigen_residual(psi, p_squared, samples, params, h_factor / 2.0)
-    return res_h, res_h2, res_h / res_h2 if res_h2 > 0 else math.inf

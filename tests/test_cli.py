@@ -290,6 +290,33 @@ class TestSweep:
         assert files[0] == files[1]
 
 
+    def test_output_digest(self, capsys, tmp_path):
+        # CSV, SVG and stdout of a plotted two-body sweep and of envelope
+        # sweeps at N = 3..6 (b' up to 39 at N = 6), byte for byte
+        digest = hashlib.sha256()
+        csv, svg = tmp_path / "two.csv", tmp_path / "two.svg"
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
+                           "--delta", "0.5", "--param", "r-minus",
+                           "--from", "3", "--to", "5000", "--steps", "12",
+                           "--log", "--p", "1.2", "--r-plus", "5",
+                           "--out", str(csv), "--plot", str(svg))
+        assert code == EXIT_CHECK_FAILED
+        digest.update(f"{code}\n{out}".encode())
+        digest.update(csv.read_bytes() + svg.read_bytes())
+        for n in range(3, 7):
+            for k in (0, 6):
+                csv = tmp_path / f"n{n}k{k}.csv"
+                code, out, _ = run(capsys, "sweep", "--n", str(n),
+                                   "--nu-prime", "3", "--delta", "0.5",
+                                   "--k", str(k), "--param", "r-minus",
+                                   "--from", "4", "--to", "60", "--steps",
+                                   "6", "--p", "1.02", "--out", str(csv))
+                assert code == EXIT_OK
+                digest.update(f"{code}\n{out}".encode() + csv.read_bytes())
+        assert digest.hexdigest() == ("6650bc63c1116e051a8f0a46836debd6"
+                                      "d5f2c449e8fb7a38a0b630db4d85b7e7")
+
+
 class TestResidual:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "residual", "--n", "2", "--nu-prime", "1",
@@ -318,6 +345,57 @@ class TestResidual:
                            "--h", "1e-3", "--configs", str(cfg))
         assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
+
+
+    def test_output_digest(self, capsys):
+        # the benchmark's five (N, k, nu', delta) residual sets at three
+        # (seed, p, h) draws, plus the README example, byte for byte
+        sets = ((3, 3, "2.0", "0.25"), (4, 2, "0.25", "0.5"),
+                (4, 4, "0.5", "0.25"), (5, 3, "2.0", "0.25"),
+                (5, 4, "1.5", "0.0"))
+        draws = (("1", "0.7", "0.002"), ("2", "1.3", "0.0035"),
+                 ("3", "1.9", "0.005"))
+        argvs = [("residual", "--n", str(n), "--nu-prime", nu, "--delta",
+                  delta, "--k", str(k), "--p", p, "--h", h, "--tol", "1e-3",
+                  "--seed", seed)
+                 for n, k, nu, delta in sets for seed, p, h in draws]
+        argvs.append(("residual", "--n", "2", "--nu-prime", "1", "--delta",
+                      "0", "--p", "1", "--k", "0", "--h", "1e-3"))
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+            digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == ("78653b312358a26eff5986eff30e60a6"
+                                      "df1378a9327470aaa55da91d751a5d03")
+
+    @pytest.mark.parametrize("doc", [{"cfg": []}, [1, 2], {"configs": 3},
+                                     {"configs": [[1.0, "x"]]},
+                                     {"configs": [[1.0, True]]},
+                                     {"configs": [2.0, 1.0]}])
+    def test_configs_wrong_shape(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "configs.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "residual", "--n", "2", "--nu-prime",
+                             "1", "--delta", "0", "--p", "1", "--k", "0",
+                             "--configs", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith('usage error: configs file must hold '
+                              '{"configs": ')
+
+    @pytest.mark.parametrize("rows,problem", [
+        ([[3.0, 0.5], [1.0, 2.0, 3.0]], "sample 1 has 3 coordinates, need 2"),
+        ([[1.0]], "sample 0 has 1 coordinates, need 2"),
+        ([[3.0, 0.5], [-1.0, 2.0]], "sample 1 is not ordered descending"),
+    ])
+    def test_configs_bad_rows(self, capsys, tmp_path, rows, problem):
+        cfg = tmp_path / "configs.json"
+        cfg.write_text(json.dumps({"configs": rows}))
+        code, out, err = run(capsys, "residual", "--n", "2", "--nu-prime",
+                             "1", "--delta", "0", "--p", "1", "--k", "0",
+                             "--configs", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"usage error: {problem}")
 
 
 class TestPolys:

@@ -7,6 +7,7 @@ import random
 import pytest
 from conftest import symmetric_pset
 
+import calogero_ss.specialfn as specialfn
 from calogero_ss.errors import (DegenerateEnvelopeError, DomainError,
                                 NumericalFailureError)
 from calogero_ss.model import CouplingParams, radial_indices
@@ -171,6 +172,48 @@ class TestScan:
         summary = ss_scan(2, momentum_sampler(2, 0.01, 10.0, seed=5), 0)
         assert summary.reports == ()
         assert summary.ss_count == 0
+
+
+@pytest.fixture
+def ladder_passes(monkeypatch):
+    """Records every Bessel ladder pass (one per J and J' pair)."""
+    passes = []
+    ladder = specialfn._ladder_pair
+
+    def counted(*args):
+        passes.append(args)
+        return ladder(*args)
+    monkeypatch.setattr(specialfn, "_ladder_pair", counted)
+    return passes
+
+
+class TestOneLadderPassPerPoint:
+    def test_two_body_match(self, ladder_passes):
+        params = CouplingParams.from_exponent(2, 1.0, 0.5)
+        match_two_body(params, 1.3, 40.0, 5.0)
+        b = radial_indices(params, 0).b_prime
+        assert ladder_passes == [(b, 1.3 * 40.0), (b, 1.3 * 5.0)]
+
+    def test_transmitted_readings(self, ladder_passes):
+        params = CouplingParams.from_exponent(2, 1.0, 0.5)
+        transmitted_coefficient_readings(params, 1.3, 5.0)
+        assert len(ladder_passes) == 1
+
+    @pytest.mark.parametrize("entries", [{(0, 1): 1.0},
+                                         {(0, 1): 1.0, (3, 1): 0.6}])
+    def test_n_body_match(self, ladder_passes, entries):
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        coeffs = SuperpositionCoeffs.for_params(params, entries)
+        pset = symmetric_pset(3, 1.0)
+        match_n_body(params, pset, coeffs, r_minus=80.0)
+        b0 = radial_indices(params, 0).b_prime
+        assert ladder_passes == [(b0 + k, pset.p * 80.0) for k, _ in entries]
+
+    @pytest.mark.parametrize("order", [-3.0, -2.0, 1.5])
+    def test_bessel_eval_matches_separate_calls(self, order):
+        ev = specialfn.bessel_eval(order, 7.3)
+        assert ev.value == specialfn.bessel_j(order, 7.3)
+        assert ev.derivative == specialfn.bessel_j_prime(order, 7.3)
 
 
 class TestTwoBodyMatch:

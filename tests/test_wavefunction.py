@@ -10,6 +10,7 @@ from calogero_ss.errors import (AsymptoticRangeError, DomainError,
                                 SingularConfigurationError)
 from calogero_ss.model import (HAMILTONIAN_TERMS, CouplingParams,
                                hamiltonian_term, radial_indices)
+from calogero_ss.polynomials import evaluate_poly
 from calogero_ss.specialfn import bessel_j
 from calogero_ss.wavefunction import (Configuration, MomentumSet,
                                       SuperpositionCoeffs,
@@ -20,6 +21,7 @@ from calogero_ss.wavefunction import (Configuration, MomentumSet,
                                       make_scattering_state, plane_wave_in,
                                       plane_wave_out, radial_coordinate,
                                       radial_solution,
+                                      reference_momentum_set,
                                       residual_convergence,
                                       scattering_eigenfunction, state_energy)
 
@@ -187,6 +189,52 @@ class TestEigenfunctions:
         assert len(laplace_solutions(params, 3)) == 1
 
 
+class TestStateEvaluator:
+    # the evaluator fuses ground_state, radial_coordinate, radial_solution
+    # and evaluate_poly; every value must equal their composition exactly
+    @pytest.mark.parametrize("n,k,nu,delta", [(2, 0, 1.0, 0.0),
+                                              (3, 3, 2.0, 0.25),
+                                              (4, 4, 0.5, 0.25),
+                                              (5, 4, 1.5, 0.0)])
+    def test_equals_composition_bit_for_bit(self, n, k, nu, delta):
+        params = CouplingParams.from_exponent(n, nu, delta)
+        pset = MomentumSet.from_momenta(
+            tuple(j - (n - 1) / 2.0 for j in range(n)))
+        poly = laplace_solutions(params, k)[0] if k else None
+        psi = make_scattering_state(params, pset, k)
+        b_prime = radial_indices(params, k).b_prime
+        for x in gap_band_samples(n, 31, 5):
+            value = ground_state(x, nu) * radial_solution(
+                radial_coordinate(x), pset.p, b_prime)
+            if poly is not None:
+                value *= float(evaluate_poly(poly, x))
+            assert psi(x) == complex(value)
+            assert scattering_eigenfunction(x, pset, poly, params, k) \
+                == complex(value)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_exception_types(self, k):
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        pset = symmetric_pset(3, 1.2)
+        psi = make_scattering_state(params, pset, k)
+        poly = laplace_solutions(params, k)[0] if k else None
+        for call in (psi, lambda x: scattering_eigenfunction(
+                x, pset, poly, params, k)):
+            with pytest.raises(DomainError, match="ordered descending"):
+                call((0.0, 1.0, 2.0))
+            with pytest.raises(DomainError, match="r > 0"):
+                call((1.0, 1.0, 1.0))
+            with pytest.raises(DomainError, match="coordinates"):
+                call((2.0, 1.0))
+
+    def test_zero_momentum_raises_at_call(self):
+        params = CouplingParams.from_exponent(2, 1.0, 0.0)
+        psi = make_scattering_state(params, MomentumSet.from_momenta(
+            (0.0, 0.0)), 0)
+        with pytest.raises(DomainError):
+            psi((1.0, -1.0))
+
+
 class TestHamiltonianFD:
     def test_zero_mode(self):
         params = CouplingParams.from_exponent(3, 2.0, 0.5)
@@ -246,6 +294,47 @@ class TestHamiltonianFD:
         psi = lambda c: complex(ground_state(c, 1.0))
         with pytest.raises(SingularConfigurationError):
             apply_hamiltonian_fd(psi, (1.0, 0.999), params, h=0.01)
+
+    @staticmethod
+    def _counted(psi):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return psi(x)
+        return counted, calls
+
+    @pytest.mark.parametrize("n,k", [(2, 0), (3, 3), (4, 4)])
+    def test_psi_calls_per_sample(self, n, k):
+        # the sample's own value is the stencil centre and the p^2 psi
+        # target, shared by h and h/2
+        params = CouplingParams.from_exponent(n, 1.0, 0.25)
+        pset = reference_momentum_set(n, 1.1)
+        psi, calls = self._counted(make_scattering_state(params, pset, k))
+        samples = gap_band_samples(n, 17, 3)
+        eigen_residual(psi, state_energy(pset), samples, params)
+        assert len(calls) == 3 * (2 * n + 1)
+        calls.clear()
+        residual_convergence(psi, state_energy(pset), samples, params)
+        assert len(calls) == 3 * (4 * n + 1)
+
+    @pytest.mark.parametrize("samples,problem", [
+        ([(2.0, 0.0, -2.0), (1.0, -1.0)], "sample 1 has 2 coordinates"),
+        ([(2.0, 0.0, -2.0, -4.0)], "sample 0 has 4 coordinates"),
+        ([(2.0, 0.0, -2.0), (-2.0, 0.0, 2.0)], "sample 1 is not ordered"),
+        ([(2.0, math.nan, -2.0)], "sample 0 has a non-finite coordinate"),
+        ([(2.0, 0.0, -2.0), (1.0, 1.0, -2.0)],
+         "sample 1 has coincident coordinates"),
+        ([], "no samples"),
+    ])
+    def test_bad_samples_rejected_before_psi(self, samples, problem):
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        pset = symmetric_pset(3, 1.2)
+        psi, calls = self._counted(make_scattering_state(params, pset, 0))
+        for check in (eigen_residual, residual_convergence):
+            with pytest.raises(DomainError, match=problem):
+                check(psi, state_energy(pset), samples, params)
+        assert calls == []
 
     def test_factorization_identity(self):
         # tau = psi / psi_gr obeys the reduced equation
