@@ -8,8 +8,8 @@ Wronskians, boundary matching, spectral-singularity scan), ``cli`` (the
 ``calogero-ss`` executable).
 """
 
-from .errors import (AccuracyLossError, AsymptoticRangeError, CalogeroError,
-                     CouplingRangeError, DegenerateEnvelopeError, DomainError,
+from .errors import (AsymptoticRangeError, CalogeroError, CouplingRangeError,
+                     DegenerateEnvelopeError, DomainError,
                      InternalConsistencyError, NoRealExponentError,
                      NumericalFailureError, ResourceLimitError,
                      SingularConfigurationError)
@@ -28,7 +28,7 @@ from .scattering import (JostPair, ScanSummary, ScatteringMatch,
                          transmission_trend, wronskian,
                          wronskian_product_form, wronskian_report)
 from .specialfn import (BesselEval, bessel_asymptotic, bessel_eval, bessel_j,
-                        bessel_j_prime, gamma)
+                        bessel_j_prime)
 from .wavefunction import (Configuration, MomentumSet, SuperpositionCoeffs,
                            apply_hamiltonian_fd, asymptotic_wave,
                            eigen_residual, general_eigenfunction,

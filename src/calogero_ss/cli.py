@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (AccuracyLossError, CalogeroError, CouplingRangeError,
-                     DomainError, NumericalFailureError)
+from ._sums import lsum
+from .errors import CalogeroError, CouplingRangeError, DomainError
 from .model import CouplingParams, Validity, solve_nu_prime
 from .polynomials import solve_generalized_laplace
 from .scattering import (check_r_minus_grid, match_n_body, match_two_body,
@@ -281,7 +281,7 @@ def _builtin_samples(n: int, seed: int, count: int = 20):
         coords = [rng.uniform(-0.5, 0.5)]
         for g in gaps:
             coords.append(coords[-1] - g)
-        mean = sum(coords) / n
+        mean = lsum(coords) / n
         out.append(tuple(c - mean for c in coords))
     return out
 
@@ -497,9 +497,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CouplingRangeError as err:
         print(f"invalid couplings: {err}", file=sys.stderr)
         return EXIT_COUPLINGS
-    except (AccuracyLossError, NumericalFailureError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DomainError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

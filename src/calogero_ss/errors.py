@@ -25,14 +25,6 @@ class SingularConfigurationError(DomainError):
     """Evaluation point too close to a particle-coincidence hyperplane."""
 
 
-class AccuracyLossError(CalogeroError):
-    """Requested accuracy is unattainable; carries the achieved estimate."""
-
-    def __init__(self, message: str, achieved_error: float):
-        super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
-        self.achieved_error = achieved_error
-
-
 class AsymptoticRangeError(DomainError):
     """Argument below the validity threshold of an asymptotic form."""
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._sums import lsum
 from .errors import (CouplingRangeError, DomainError, NoRealExponentError,
                      SingularConfigurationError)
 
@@ -230,17 +231,17 @@ def terms_from_stencil(x: Sequence[float], center: complex,
                        ) -> tuple[complex, complex, complex, complex]:
     """The four term values from f(x) and the stencil values around it."""
     n = len(x)
-    kinetic = -0.5 * sum((plus[j] - 2.0 * center + minus[j]) / (h * h)
+    kinetic = -0.5 * lsum((plus[j] - 2.0 * center + minus[j]) / (h * h)
                          for j in range(n))
-    inv_sq = (g / 2.0) * sum(
+    inv_sq = (g / 2.0) * lsum(
         1.0 / (x[j] - x[m]) ** 2
         for j in range(n) for m in range(n) if j != m) * center
-    deform = delta * sum(
+    deform = delta * lsum(
         (plus[j] - minus[j]) / (2.0 * h) / (x[j] - x[m])
         for j in range(n) for m in range(n) if j != m)
     harmonic = 0j
     if omega != 0.0:
-        harmonic = (omega ** 2 / 2.0) * sum(c * c for c in x) * center
+        harmonic = (omega ** 2 / 2.0) * lsum(c * c for c in x) * center
     return kinetic, inv_sq, deform, harmonic
 
 

@@ -46,6 +46,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Callable, Mapping, Sequence
 
+from ._sums import lsum
 from .errors import DomainError, InternalConsistencyError, ResourceLimitError
 
 DEFAULT_MAX_DEGREE = 8
@@ -378,7 +379,7 @@ def float_evaluator(poly: SymPolynomial) -> Callable[[Sequence], float]:
 
     def value(x: Sequence) -> float:
         _check_size(n_vars, x)
-        mean = sum(map(float, x)) / len(x)
+        mean = lsum(map(float, x)) / len(x)
         return _centred_sum([float(c) - mean for c in x], terms, parts, 0.0)
     return value
 
@@ -396,7 +397,7 @@ def _parts_used(terms: list) -> set[int]:
 
 def _centred_sum(y: list, terms: list, parts: set[int], total):
     """total + sum of coeff * prod q_part over terms, q_a = sum_j y_j^a."""
-    q = {a: sum([v ** a for v in y]) for a in parts}
+    q = {a: lsum([v ** a for v in y]) for a in parts}
     for partition, coeff in terms:
         term = coeff
         for a in partition:

@@ -20,13 +20,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._sums import lsum
 from .errors import (DegenerateEnvelopeError, DomainError,
                      NumericalFailureError)
 from .model import CouplingParams, radial_indices
-from .polynomials import evaluate_poly
 from .specialfn import bessel_eval
-from .wavefunction import (MomentumSet, SuperpositionCoeffs, ground_state,
-                           laplace_solutions, radial_coordinate)
+from .wavefunction import (MomentumSet, SuperpositionCoeffs, _channels,
+                           ground_state, radial_coordinate)
 
 DIVERGENT_TOL = 1e-12
 
@@ -59,13 +59,13 @@ class JostPair:
 
 
 def _forward_wave(pset: MomentumSet, coords: Sequence[float]) -> complex:
-    return cmath.exp(1j * sum(p * x for p, x in zip(pset.momenta, coords)))
+    return cmath.exp(1j * lsum(p * x for p, x in zip(pset.momenta, coords)))
 
 
 def _reversed_wave(pset: MomentumSet, phi: float,
                    coords: Sequence[float]) -> complex:
     return cmath.exp(1j * math.pi * phi) * cmath.exp(
-        1j * sum(x * p for x, p in zip(coords, pset.reversed_momenta())))
+        1j * lsum(x * p for x, p in zip(coords, pset.reversed_momenta())))
 
 
 def pair_factors(pset: MomentumSet) -> tuple[float, ...]:
@@ -121,13 +121,13 @@ def sample_momenta(n: int, rng: random.Random, p: float) -> MomentumSet:
         raise DomainError("need p > 0")
     while True:
         draws = [rng.uniform(-1.0, 1.0) for _ in range(n - 1)]
-        vec = draws + [-sum(draws)]
-        norm = math.sqrt(sum(v * v for v in vec))
+        vec = draws + [-lsum(draws)]
+        norm = math.sqrt(lsum(v * v for v in vec))
         if norm > 1e-12:
             break
     vec = sorted(v * (p / norm) for v in vec)
     # exact sum-zero restoration after rescaling rounding
-    shift = sum(vec) / n
+    shift = lsum(vec) / n
     vec = [v - shift for v in vec]
     return MomentumSet.from_momenta(sorted(vec))
 
@@ -329,30 +329,27 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
     if len(coords) != params.n_particles:
         raise DomainError("direction size mismatch")
     r_hat = radial_coordinate(coords)
+    if not r_hat > 0.0:
+        raise DomainError("direction has all coordinates equal (r_hat = 0)")
     n = params.n_particles
     g_exp = params.nu_prime * n * (n - 1) / 2.0
     b0 = radial_indices(params, 0).b_prime
     j0 = ground_state(coords, params.nu_prime) / r_hat ** g_exp
-    terms = []
-    for (k, q), ct in coeffs.entries.items():
-        sols = laplace_solutions(params, k)
-        if not sols:
-            raise DomainError(f"degree {k} has zero degeneracy")
-        if not 1 <= q <= len(sols):
-            raise DomainError(f"solution index q={q} outside 1..{len(sols)}")
-        pval = 1.0 if k == 0 else float(evaluate_poly(sols[q - 1], coords))
-        terms.append((k, complex(ct) * pval / r_hat ** k))
+    # order b0 + k, not the channel's b'_k: the two floats can differ
+    terms = [(ch.k, complex(ch.coeff)
+              * (1.0 if ch.poly is None else ch.poly(coords)) / r_hat ** ch.k)
+             for ch in _channels(params, coeffs.entries)]
     power = g_exp - b0
 
     def f_pair(r: float) -> tuple[complex, complex]:
         evs = [(c, bessel_eval(b0 + k, pset.p * r)) for k, c in terms]
-        total = sum(c * ev.value for c, ev in evs)
-        total_d = sum(c * pset.p * ev.derivative for c, ev in evs)
+        total = lsum(c * ev.value for c, ev in evs)
+        total_d = lsum(c * pset.p * ev.derivative for c, ev in evs)
         return (j0 * r ** power * total,
                 j0 * (power * r ** (power - 1.0) * total
                       + r ** power * total_d))
 
-    envelope_const = sum(c for _, c in terms) * j0 / math.sqrt(2.0 * math.pi)
+    envelope_const = lsum(c for _, c in terms) * j0 / math.sqrt(2.0 * math.pi)
 
     def s_value(r: float) -> complex:
         return envelope_const * r ** (power - 0.5)
@@ -533,8 +530,8 @@ def transmission_sweep(params: CouplingParams, p: float,
 
 def _lsq_slope(points: Sequence[tuple[float, float]]) -> float:
     n = len(points)
-    mx = sum(x for x, _ in points) / n
-    my = sum(y for _, y in points) / n
-    num = sum((x - mx) * (y - my) for x, y in points)
-    den = sum((x - mx) ** 2 for x, y in points)
+    mx = lsum(x for x, _ in points) / n
+    my = lsum(y for _, y in points) / n
+    num = lsum((x - mx) * (y - my) for x, y in points)
+    den = lsum((x - mx) ** 2 for x, y in points)
     return num / den if den else 0.0

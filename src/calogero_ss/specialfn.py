@@ -31,44 +31,6 @@ from .errors import AsymptoticRangeError, DomainError
 # Envelope-relative accuracy target of the evaluator.
 REL_TARGET = 1e-10
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Relative error well under 1e-13 on [0.5, 60].
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
-
-
-def gamma(z: float) -> float:
-    """Gamma function via the Lanczos approximation (reflection for z < 1/2)."""
-    if not math.isfinite(z):
-        raise DomainError(f"gamma: non-finite argument {z!r}")
-    if z < 0.5:
-        s = math.sin(math.pi * z)
-        if s == 0.0:
-            raise DomainError(f"gamma: pole at non-positive integer {z!r}")
-        return math.pi / (s * gamma(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * math.exp(-t) * acc
-
 
 def switchover(order: float) -> float:
     """Miller/forward-recurrence boundary x* for a given order."""

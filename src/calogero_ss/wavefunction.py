@@ -1,15 +1,15 @@
 """Eigenfunction assembly and finite-difference verification.
 
-States live in the ordered sector x_1 >= x_2 >= ... >= x_N.  A scattering
-state at radial momentum p and polynomial degree k is
+States live in the ordered sector x_1 >= x_2 >= ... >= x_N.  A state is a
+tuple of channels, one per (degree k, solution index q):
 
-    psi = prod_{j<k} (x_j - x_k)^nu' * r^(-b') J_b'(p r) * P(x),
+    psi = sum_kq c_kq prod_{i<j} (x_i - x_j)^nu' r^(-b'_k) J_b'_k(p r) P_kq(x),
 
-with r the translation-invariant hyper-radius, b' from the model module
-and P a generalized-Laplace solution at lambda = nu' - delta.  General
-states superpose degrees with momentum-scaled coefficients; their large-r
-limit splits into incoming/outgoing waves whose literal form is evaluated
-here as well.
+with r the translation-invariant hyper-radius, b'_k from the model module
+and P_kq a generalized-Laplace solution at lambda = nu' - delta.  A channel
+record holds k, b'_k, the float evaluator of P_kq (None at k = 0) and c_kq;
+single states (c = 1), superpositions (c = p^n' Ct), the large-r waves and
+the matcher's ray profile all read these records.
 
 All wavefunction values are returned as complex even when analytically
 real, so the deformed phases flow through one code path.  The Hamiltonian
@@ -26,11 +26,12 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from . import polynomials
+from ._sums import lsum
 from .errors import (AsymptoticRangeError, DomainError,
                      SingularConfigurationError)
 from .model import (CouplingParams, hamiltonian_terms, radial_indices,
                     stencil_values, terms_from_stencil)
-from .polynomials import SymPolynomial, evaluate_poly, float_evaluator
+from .polynomials import SymPolynomial, float_evaluator
 from .specialfn import asymptotic_threshold, bessel_j
 
 DEFAULT_MIN_GAP = 1e-9
@@ -93,9 +94,9 @@ class MomentumSet:
         if any(ms[j] > ms[j + 1] for j in range(len(ms) - 1)):
             raise DomainError("momenta must be sorted ascending")
         big = max(abs(v) for v in ms)
-        if abs(sum(ms)) > SUM_ZERO_TOL * len(ms) * max(big, 1.0):
-            raise DomainError(f"momenta must sum to zero, got {sum(ms):.3e}")
-        p = math.sqrt(sum(v * v for v in ms))
+        if abs(lsum(ms)) > SUM_ZERO_TOL * len(ms) * max(big, 1.0):
+            raise DomainError(f"momenta must sum to zero, got {lsum(ms):.3e}")
+        p = math.sqrt(lsum(v * v for v in ms))
         alphas = tuple(v / p for v in ms) if p > 0 else tuple(0.0 for _ in ms)
         return cls(ms, p, alphas)
 
@@ -115,7 +116,7 @@ def reference_momentum_set(n: int, p: float) -> MomentumSet:
     if p <= 0.0:
         raise DomainError("need p > 0")
     base = [j - (n - 1) / 2.0 for j in range(n)]
-    norm = math.sqrt(sum(b * b for b in base))
+    norm = math.sqrt(lsum(b * b for b in base))
     return MomentumSet.from_momenta(tuple(b * p / norm for b in base))
 
 
@@ -150,7 +151,7 @@ def radial_coordinate(x) -> float:
 
 
 def _radius(diffs: Sequence[float], n: int) -> float:
-    return math.sqrt(sum([d ** 2 for d in diffs]) / n)
+    return math.sqrt(lsum([d ** 2 for d in diffs]) / n)
 
 
 def pair_differences(x) -> list[float]:
@@ -206,34 +207,23 @@ def laplace_solutions(params: CouplingParams, k: int
     return _laplace_solutions_cached(params.n_particles, k, lam)
 
 
-def _poly_value(poly: SymPolynomial | None, coords: tuple[float, ...]) -> float:
-    if poly is None:
-        return 1.0
-    return float(evaluate_poly(poly, coords))
-
-
 # --- eigenfunctions ----------------------------------------------------------
 
-def scattering_eigenfunction(x, pset: MomentumSet,
-                             poly: SymPolynomial | None,
-                             params: CouplingParams, k: int) -> complex:
-    """Single degenerate scattering state at degree k (poly=None means 1)."""
-    if pset.p <= 0.0:
-        raise DomainError("scattering states need p > 0")
-    return _state_evaluator(params, pset.p, k, poly)(x)
+@dataclass(frozen=True)
+class _Channel:
+    """Term coeff * Jastrow * r^(-b') J_b'(p r) * poly(x); poly None is 1."""
+    k: int
+    b_prime: float
+    poly: Callable[[Sequence], float] | None
+    coeff: complex
 
 
-def general_eigenfunction(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
-                          params: CouplingParams) -> complex:
-    """Finite superposition of degenerate states with scaled coefficients."""
-    if pset.p <= 0.0:
-        raise DomainError("scattering states need p > 0")
-    coords = _coords_of(x)
-    r = radial_coordinate(coords)
-    jastrow = ground_state(coords, params.nu_prime)
-    full = coeffs.reconstruct(pset.p)
-    total = 0j
-    for (k, q), c in full.items():
+def _channels(params: CouplingParams,
+              entries: Mapping[tuple[int, int], complex]
+              ) -> tuple[_Channel, ...]:
+    """One channel per (k, q) entry; zero degeneracy and q are checked."""
+    out = []
+    for (k, q), coeff in entries.items():
         sols = laplace_solutions(params, k)
         if not sols:
             raise DomainError(f"degree {k} has zero degeneracy at these "
@@ -241,39 +231,60 @@ def general_eigenfunction(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
         if not 1 <= q <= len(sols):
             raise DomainError(f"solution index q={q} outside 1..{len(sols)} "
                               f"at degree {k}")
-        idx = radial_indices(params, k)
-        total += c * radial_solution(r, pset.p, idx.b_prime) \
-            * _poly_value(sols[q - 1], coords)
-    return jastrow * total
+        out.append(_Channel(k, radial_indices(params, k).b_prime,
+                            float_evaluator(sols[q - 1]) if k else None,
+                            coeff))
+    return tuple(out)
+
+
+def scattering_eigenfunction(x, pset: MomentumSet,
+                             poly: SymPolynomial | None,
+                             params: CouplingParams, k: int) -> complex:
+    """Single degenerate scattering state at degree k (poly=None means 1)."""
+    if pset.p <= 0.0:
+        raise DomainError("scattering states need p > 0")
+    if poly is not None and poly.n_vars != params.n_particles:
+        raise DomainError(f"polynomial in {poly.n_vars} variables for "
+                          f"{params.n_particles} particles")
+    channel = _Channel(k, radial_indices(params, k).b_prime,
+                       None if poly is None else float_evaluator(poly), 1.0)
+    return _state_evaluator(params, pset.p, (channel,))(x)
+
+
+def general_eigenfunction(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
+                          params: CouplingParams) -> complex:
+    """Finite superposition of degenerate states with scaled coefficients."""
+    return make_general_state(params, pset, coeffs)(x)
 
 
 def make_scattering_state(params: CouplingParams, pset: MomentumSet,
                           k: int, q: int = 1) -> Callable[[tuple], complex]:
     """Callable psi(coords) for one degenerate state (for FD verification)."""
-    sols = laplace_solutions(params, k)
-    if k > 0 and not sols:
-        raise DomainError(f"degree {k} has zero degeneracy")
-    return _state_evaluator(params, pset.p, k, sols[q - 1] if k > 0 else None)
+    return _state_evaluator(params, pset.p, _channels(params, {(k, q): 1.0}))
 
 
-def _state_evaluator(params: CouplingParams, p: float, k: int,
-                     poly: SymPolynomial | None
+def make_general_state(params: CouplingParams, pset: MomentumSet,
+                       coeffs: SuperpositionCoeffs
+                       ) -> Callable[[tuple], complex]:
+    """Callable psi(coords) for a superposition, coefficients p^n' * Ct."""
+    if pset.p <= 0.0:
+        raise DomainError("scattering states need p > 0")
+    return _state_evaluator(params, pset.p,
+                            _channels(params, coeffs.reconstruct(pset.p)))
+
+
+def _state_evaluator(params: CouplingParams, p: float,
+                     channels: Sequence[_Channel]
                      ) -> Callable[[tuple], complex]:
-    """psi(coords) of one degree-k state, with its setup done once.
+    """psi(coords) = sum of the channels, with the setup done once.
 
-    Per point the pair differences are formed once; they give the ordering
-    check, the Jastrow product and r.  The float operations and their
-    order are those of ground_state, radial_coordinate, radial_solution
-    and evaluate_poly.
+    Per point the pair differences give the ordering check, the Jastrow
+    product and r.  A unit channel's value is bit for bit the composition
+    of ground_state, radial_coordinate, radial_solution and evaluate_poly.
     """
     n = params.n_particles
-    if poly is not None and poly.n_vars != n:
-        raise DomainError(f"polynomial in {poly.n_vars} variables for "
-                          f"{n} particles")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     nu_prime = params.nu_prime
-    b_prime = radial_indices(params, k).b_prime
-    poly_value = None if poly is None else float_evaluator(poly)
 
     def psi(x) -> complex:
         c = _coords_of(x)
@@ -281,19 +292,15 @@ def _state_evaluator(params: CouplingParams, p: float, k: int,
             raise DomainError(f"configuration has {len(c)} coordinates, "
                               f"the state wants {n}")
         diffs = [c[i] - c[j] for i, j in pairs]
-        value = _jastrow(diffs, nu_prime) \
-            * radial_solution(_radius(diffs, n), p, b_prime)
-        if poly_value is not None:
-            value *= poly_value(c)
-        return complex(value)
-    return psi
-
-
-def make_general_state(params: CouplingParams, pset: MomentumSet,
-                       coeffs: SuperpositionCoeffs
-                       ) -> Callable[[tuple], complex]:
-    def psi(coords):
-        return general_eigenfunction(coords, pset, coeffs, params)
+        jastrow = _jastrow(diffs, nu_prime)
+        r = _radius(diffs, n)
+        total = 0j
+        for ch in channels:
+            value = jastrow * radial_solution(r, p, ch.b_prime)
+            if ch.poly is not None:
+                value *= ch.poly(c)
+            total += ch.coeff * value
+        return total
     return psi
 
 
@@ -316,34 +323,29 @@ def asymptotic_wave(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
     coords = _coords_of(x)
     r = radial_coordinate(coords)
     pr = pset.p * r
-    idx0 = radial_indices(params, 0)
-    for (k, _q) in coeffs.entries:
-        thr = asymptotic_threshold(radial_indices(params, k).b_prime,
-                                   max_rel_error)
+    channels = _channels(params, coeffs.entries)
+    for ch in channels:
+        thr = asymptotic_threshold(ch.b_prime, max_rel_error)
         if pr < thr:
             raise AsymptoticRangeError(
                 f"p*r = {pr:.6g} below asymptotic threshold {thr:.6g} "
-                f"(degree {k})")
+                f"(degree {ch.k})")
+    idx0 = radial_indices(params, 0)
     envelope = (2.0 * math.pi * r) ** -0.5 * pset.p ** (idx0.n_prime - 0.5) \
         * ground_state(coords, params.nu_prime) * r ** (-idx0.a_prime)
     total = 0j
-    for (k, q), c in coeffs.entries.items():
-        sols = laplace_solutions(params, k)
-        if not sols:
-            raise DomainError(f"degree {k} has zero degeneracy")
-        if not 1 <= q <= len(sols):
-            raise DomainError(f"solution index q={q} outside 1..{len(sols)}")
-        b_k = radial_indices(params, k).b_prime
-        phase = cmath.exp(sign * 1j * (b_k + 0.5) * math.pi / 2.0
+    for ch in channels:
+        phase = cmath.exp(sign * 1j * (ch.b_prime + 0.5) * math.pi / 2.0
                           - sign * 1j * pr)
-        total += c * r ** (-k) * _poly_value(sols[q - 1], coords) * phase
+        pval = 1.0 if ch.poly is None else ch.poly(coords)
+        total += ch.coeff * r ** (-ch.k) * pval * phase
     return envelope * total
 
 
 def plane_wave_in(x, pset: MomentumSet, amplitude: complex) -> complex:
     """amplitude * exp(i sum_j p_j x_j)."""
     coords = _coords_of(x)
-    return amplitude * cmath.exp(1j * sum(p * c for p, c
+    return amplitude * cmath.exp(1j * lsum(p * c for p, c
                                           in zip(pset.momenta, coords)))
 
 
@@ -359,7 +361,7 @@ def plane_wave_out(x, pset: MomentumSet, amplitude: complex,
     n = len(coords)
     phase = cmath.exp(-1j * math.pi * nu_prime * n * (n - 1) / 2.0)
     return amplitude * phase * cmath.exp(
-        1j * sum(c * p for c, p in zip(coords, pset.reversed_momenta())))
+        1j * lsum(c * p for c, p in zip(coords, pset.reversed_momenta())))
 
 
 # --- finite-difference Hamiltonian -------------------------------------------
@@ -383,7 +385,7 @@ def apply_hamiltonian_fd(psi: Callable[[tuple], complex], x,
     """(H psi)(x) with second-order central differences."""
     coords = _coords_of(x)
     _check_stencil(_adjacent_gaps(coords), h)
-    return sum(hamiltonian_terms(psi, coords, params.g, params.delta,
+    return lsum(hamiltonian_terms(psi, coords, params.g, params.delta,
                                  params.omega, h))
 
 
@@ -468,10 +470,10 @@ def _residual(psi: Callable[[tuple], complex], p_squared: float,
         plus, minus = stencil_values(psi, coords, h)
         terms = terms_from_stencil(coords, psi_val, plus, minus, params.g,
                                    params.delta, params.omega, h)
-        hpsi = sum(terms)
+        hpsi = lsum(terms)
         target = p_squared * psi_val
-        term_scale = sum(abs(t) for t in terms)
-        curvature = abs(psi_val) * sum(1.0 / (g * g) for g in gaps)
+        term_scale = lsum(abs(t) for t in terms)
+        curvature = abs(psi_val) * lsum(1.0 / (g * g) for g in gaps)
         rows.append((abs(hpsi - target), abs(target), term_scale, curvature))
     global_scale = max(t for _, t, _, _ in rows)
     out = 0.0

@@ -13,7 +13,7 @@ from calogero_ss.errors import (DegenerateEnvelopeError, DomainError,
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     JostPair, ScanSummary, ScatteringMatch,
-                                    TrendDiscrepancy,
+                                    TrendDiscrepancy, _ray_profile,
                                     match_n_body, match_two_body,
                                     momentum_sampler, pair_factors,
                                     sample_momenta, ss_scan,
@@ -23,7 +23,8 @@ from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     wronskian, wronskian_product_form,
                                     wronskian_report)
 from calogero_ss.wavefunction import (MomentumSet, SuperpositionCoeffs,
-                                      laplace_solutions,
+                                      laplace_solutions, make_general_state,
+                                      radial_coordinate,
                                       reference_momentum_set)
 
 
@@ -315,6 +316,34 @@ class TestNBodyMatch:
         with pytest.raises(DegenerateEnvelopeError):
             match_n_body(params, pset, coeffs, r_minus=80.0,
                          direction=direction)
+
+    def test_coincident_direction_rejected(self):
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        with pytest.raises(DomainError, match="r_hat"):
+            match_n_body(params, symmetric_pset(3, 1.0), coeffs,
+                         r_minus=80.0, direction=(0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("n,nu,delta,entries", [
+        (3, 1.0, 0.5, {(0, 1): 1.0, (3, 1): 0.6}),
+        (4, 1.5, 0.25, {(0, 1): 0.8j, (3, 1): 0.6, (4, 1): -0.3}),
+        (5, 1.0, 0.5, {(3, 1): 1.0, (5, 1): 0.4 - 0.2j})])
+    def test_ray_profile_equals_general_state(self, n, nu, delta, entries):
+        # along x = r x_hat / r_hat the closed-form profile times p^n' is
+        # the superposition itself
+        params = CouplingParams.from_exponent(n, nu, delta)
+        pset = reference_momentum_set(n, 1.3)
+        coeffs = SuperpositionCoeffs.for_params(params, entries)
+        direction = tuple((n - 1) / 2.0 - j + 0.1 * j * j for j in range(n))
+        direction = tuple(sorted(direction, reverse=True))
+        f_pair, _, _ = _ray_profile(params, pset, coeffs, direction)
+        psi = make_general_state(params, pset, coeffs)
+        r_hat = radial_coordinate(direction)
+        scale = pset.p ** radial_indices(params, 0).n_prime
+        for r in (0.7, 3.0, 11.5, 40.0):
+            expected = psi(tuple(r * c / r_hat for c in direction))
+            got = f_pair(r)[0] * scale
+            assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 class TestTransferMatrix:

@@ -10,7 +10,7 @@ from calogero_ss.errors import AsymptoticRangeError, DomainError
 from calogero_ss.specialfn import (REL_TARGET, _asymptotic_value, _forward,
                                    _miller, asymptotic_threshold,
                                    bessel_asymptotic, bessel_eval, bessel_j,
-                                   bessel_j_prime, gamma, switchover)
+                                   bessel_j_prime, switchover)
 
 mp.mp.dps = 30
 
@@ -235,20 +235,6 @@ class TestBesselAsymptotic:
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_asymptotic(1.0, 0.0)
-
-
-class TestGamma:
-    @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 2.0, 3.25, 7.5, 12.0,
-                                   25.5, 41.0, 60.0])
-    def test_vs_stdlib(self, z):
-        assert gamma(z) == pytest.approx(math.gamma(z), rel=1e-12)
-
-    def test_reflection_region(self):
-        assert gamma(0.2) == pytest.approx(math.gamma(0.2), rel=1e-12)
-
-    def test_pole(self):
-        with pytest.raises(DomainError):
-            gamma(0.0)
 
 
 def test_bessel_eval_record():

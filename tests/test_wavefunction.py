@@ -160,8 +160,9 @@ class TestEigenfunctions:
         x = (2.0, 0.1, -1.8)
         single = scattering_eigenfunction(x, pset, None, params, 0)
         n_prime = radial_indices(params, 0).n_prime
+        # one evaluator: a unit coefficient gives p^n' * psi bit for bit
         assert general_eigenfunction(x, pset, coeffs, params) == \
-            pytest.approx(single * pset.p ** n_prime, rel=1e-12)
+            single * pset.p ** n_prime
 
     def test_linearity(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
@@ -226,6 +227,16 @@ class TestStateEvaluator:
                 call((1.0, 1.0, 1.0))
             with pytest.raises(DomainError, match="coordinates"):
                 call((2.0, 1.0))
+
+    @pytest.mark.parametrize("k,q", [(3, 0), (3, 2), (3, -1), (0, 0),
+                                     (0, 2), (1, 1)])
+    def test_bad_solution_index_rejected(self, k, q):
+        # N = 3 at lambda = 1/2 has one solution at k = 0 and k = 3, none
+        # at k = 1
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        pset = symmetric_pset(3, 1.2)
+        with pytest.raises(DomainError):
+            make_scattering_state(params, pset, k, q)
 
     def test_zero_momentum_raises_at_call(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
