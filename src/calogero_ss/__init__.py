@@ -31,10 +31,9 @@ from .specialfn import (BesselEval, bessel_asymptotic, bessel_eval, bessel_j,
                         bessel_j_prime)
 from .wavefunction import (Configuration, MomentumSet, SuperpositionCoeffs,
                            apply_hamiltonian_fd, asymptotic_wave,
-                           eigen_residual, general_eigenfunction,
-                           ground_state, plane_wave_in, plane_wave_out,
-                           radial_coordinate, radial_solution,
-                           reference_momentum_set, scattering_eigenfunction,
+                           eigen_residual, ground_state, make_general_state,
+                           make_scattering_state, radial_coordinate,
+                           radial_solution, reference_momentum_set,
                            state_energy)
 
 __version__ = "0.1.0"

@@ -22,9 +22,9 @@ from ._sums import lsum
 from .errors import CalogeroError, CouplingRangeError, DomainError
 from .model import CouplingParams, Validity, solve_nu_prime
 from .polynomials import solve_generalized_laplace
-from .scattering import (check_r_minus_grid, match_n_body, match_two_body,
-                         momentum_sampler, ss_scan, transmission_trend,
-                         transmitted_coefficient_readings)
+from .scattering import (ScatteringMatch, check_r_minus_grid, match_n_body,
+                         match_two_body, momentum_sampler, ss_scan,
+                         transmission_trend, transmitted_coefficient_readings)
 from .svgplot import render_line_plot
 from .wavefunction import (SuperpositionCoeffs, make_scattering_state,
                            reference_momentum_set, residual_convergence,
@@ -120,8 +120,6 @@ def cmd_nu_prime(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.out is None:
-        raise UsageError("scan needs --out")
     params = CouplingParams.from_exponent(args.n, args.nu_prime, args.delta)
     sampler = momentum_sampler(args.n, args.p_min, args.p_max, args.seed)
     summary = ss_scan(args.n, sampler, args.samples, params=params)
@@ -147,31 +145,31 @@ def cmd_scan(args) -> int:
     return EXIT_SS_FOUND if summary.ss_count else EXIT_OK
 
 
-def _coeffs_row(params: CouplingParams, args, p: float, r_minus: float,
-                r_plus: float) -> tuple[str, dict]:
+def _match(params: CouplingParams, args, p: float, r_minus: float,
+           r_plus: float) -> ScatteringMatch:
+    """The two-body matcher at N = 2, the envelope matcher above it."""
     if params.n_particles == 2:
-        m = match_two_body(params, p, r_minus, r_plus)
-        a, b, d = m.a, m.b, m.d
-        t = m.transmission
-        mism = m.derivative_mismatch
-        row = ",".join([
-            _f17(p), _f17(r_minus), _f17(r_plus),
-            _f17(a.real), _f17(a.imag), _f17(b.real), _f17(b.imag),
-            _f17(d.real), _f17(d.imag), _f17(m.reflection), _f17(t),
-            _f17(mism)])
-        return row, {"match": m}
+        return match_two_body(params, p, r_minus, r_plus)
     entries = {(0, 1): 1.0 + 0j}
     if args.k:
         entries[(args.k, 1)] = 0.6 + 0j
     coeffs = SuperpositionCoeffs.for_params(params, entries)
     pset = reference_momentum_set(params.n_particles, p)
-    m = match_n_body(params, pset, coeffs, r_minus)
-    nan = float("nan")
-    row = ",".join([
-        _f17(p), _f17(r_minus), _f17(nan),
-        _f17(m.a1.real), _f17(m.a1.imag), _f17(m.b1.real), _f17(m.b1.imag),
-        _f17(nan), _f17(nan), _f17(m.reflection), _f17(nan), _f17(nan)])
-    return row, {"match": m}
+    return match_n_body(params, pset, coeffs, r_minus)
+
+
+def _or_nan(x: float | None) -> float:
+    return math.nan if x is None else x
+
+
+def _coeffs_row(p: float, m: ScatteringMatch) -> str:
+    """One COEFFS_HEADER row; nan wherever the record holds None."""
+    # a float nan has imag 0.0, so an absent d is a complex nan
+    d = complex(math.nan, math.nan) if m.d is None else m.d
+    return ",".join(_f17(_or_nan(v)) for v in (
+        p, m.r_minus, m.r_plus, m.a.real, m.a.imag, m.b.real, m.b.imag,
+        d.real, d.imag, m.reflection, m.transmission,
+        m.derivative_mismatch))
 
 
 def cmd_coeffs(args) -> int:
@@ -185,10 +183,13 @@ def cmd_coeffs(args) -> int:
     if params.n_particles == 2:
         readings = transmitted_coefficient_readings(params, args.p,
                                                     args.r_plus)
-        for name, val in sorted(readings.items()):
+        for name, val in readings.items():
             metadata[f"alt_d_{name}"] = _f17(abs(val))
-    row, _ = _coeffs_row(params, args, args.p, args.r_minus, args.r_plus)
-    _write_text(args.out, _csv_document(metadata, COEFFS_HEADER, [row]))
+    m = _match(params, args, args.p, args.r_minus, args.r_plus)
+    if m.d is not None:
+        metadata["alt_d_value_matched"] = _f17(abs(m.d))
+    _write_text(args.out, _csv_document(metadata, COEFFS_HEADER,
+                                        [_coeffs_row(args.p, m)]))
     return EXIT_OK
 
 
@@ -213,23 +214,20 @@ def cmd_sweep(args) -> int:
     if trend_checked:
         check_r_minus_grid(grid)  # before any matching
     rows = []
-    column_values = {"R": [], "T": [], "deriv_mismatch": []}
+    matches = []
     for value in grid:
         p = value if args.param == "p" else args.p
         r_minus = value if args.param == "r-minus" else args.r_minus
         r_plus = value if args.param == "r-plus" else args.r_plus
         if p is None or p <= 0.0:
             raise UsageError("sweep needs --p > 0 (or --param p)")
-        row, extra = _coeffs_row(params, args, p, r_minus, r_plus)
-        rows.append(row)
-        m = extra["match"]
-        column_values["R"].append(m.reflection)
-        column_values["T"].append(m.transmission
-                                  if m.transmission is not None
-                                  else float("nan"))
-        column_values["deriv_mismatch"].append(
-            m.derivative_mismatch if m.derivative_mismatch is not None
-            else float("nan"))
+        m = _match(params, args, p, r_minus, r_plus)
+        rows.append(_coeffs_row(p, m))
+        matches.append(m)
+    column_values = {
+        "R": [m.reflection for m in matches],
+        "T": [_or_nan(m.transmission) for m in matches],
+        "deriv_mismatch": [_or_nan(m.derivative_mismatch) for m in matches]}
     metadata = _convention_metadata()
     metadata.update({"n": str(args.n), "param": args.param,
                      "from": _f17(getattr(args, "from_")),
@@ -445,6 +443,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value as its option would parse it, or a UsageError.
+
+    Flags take JSON booleans; every other option takes a JSON string or
+    number, passed through the option's type and checked against its
+    choices as if it had been given on the command line.
+    """
+    shown = json.dumps(value)
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} takes true or false, "
+                             f"got {shown}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key!r} takes a string or a number, "
+                         f"got {shown}")
+    try:
+        parsed = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise UsageError(f"config key {key!r}: invalid value {shown}") \
+            from None
+    if action.choices is not None and parsed not in action.choices:
+        raise UsageError(f"config key {key!r}: {shown} is not one of "
+                         + ", ".join(action.choices))
+    return parsed
+
+
 def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
     """Load --config JSON as defaults; explicit flags still win."""
     if "--config" not in argv:
@@ -463,17 +488,16 @@ def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
     # apply to every subparser that knows the key; unknown keys are errors
     subs = [a for a in parser._subparsers._group_actions
             if isinstance(a, argparse._SubParsersAction)][0]
-    known = set()
-    for sub in subs.choices.values():
-        for action in sub._actions:
-            known.add(action.dest)
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        owners = [(sub, action) for sub in subs.choices.values()
+                  for action in sub._actions if action.dest == dest
+                  and isinstance(action, (argparse._StoreAction,
+                                          argparse._StoreTrueAction))]
+        if not owners:
             raise UsageError(f"unknown config key {key!r}")
-        for sub in subs.choices.values():
-            if any(a.dest == dest for a in sub._actions):
-                sub.set_defaults(**{dest: value})
+        for sub, action in owners:
+            sub.set_defaults(**{dest: _config_value(action, key, value)})
     return argv
 
 

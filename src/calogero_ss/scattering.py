@@ -135,8 +135,8 @@ def sample_momenta(n: int, rng: random.Random, p: float) -> MomentumSet:
 def momentum_sampler(n: int, p_min: float, p_max: float,
                      seed: int) -> Callable[[], MomentumSet]:
     """Seed-deterministic sampler over the constraint manifold."""
-    if not 0.0 < p_min <= p_max:
-        raise DomainError("need 0 < p_min <= p_max")
+    if not (math.isfinite(p_max) and 0.0 < p_min <= p_max):
+        raise DomainError("need 0 < p_min <= p_max < inf")
     rng = random.Random(seed)
 
     def draw() -> MomentumSet:
@@ -215,18 +215,18 @@ def ss_scan(n: int, sampler: Callable[[], MomentumSet], n_samples: int,
 class ScatteringMatch:
     """Matched coefficients and derived reflection/transmission.
 
-    Two-body matches fill (a, b, d); N-body matches fill (a1, b1).  The
-    derivative mismatch is the relative defect of the outgoing-side
+    Both matchers fill the incoming/outgoing amplitudes (a, b) at r_-;
+    only the two-body matcher has a transmitted side, so r_plus, d,
+    transmission and derivative_mismatch are None for N-body matches.
+    The derivative mismatch is the relative defect of the outgoing-side
     derivative condition, which over-determines the single constant d and
     is therefore surfaced rather than imposed.
     """
     r_minus: float
     r_plus: float | None
-    a: complex | None
-    b: complex | None
+    a: complex
+    b: complex
     d: complex | None
-    a1: complex | None
-    b1: complex | None
     reflection: float
     transmission: float | None
     derivative_mismatch: float | None
@@ -289,7 +289,6 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
     mismatch = abs(out_d - psi_d) / max(abs(psi_d), 1e-300)
 
     return ScatteringMatch(r_minus=r_minus, r_plus=r_plus, a=a, b=b, d=d,
-                           a1=None, b1=None,
                            reflection=_squared_ratio(b, a, p, r_minus),
                            transmission=_squared_ratio(d, a, p, r_minus),
                            derivative_mismatch=mismatch)
@@ -297,11 +296,12 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
 
 def transmitted_coefficient_readings(params: CouplingParams, p: float,
                                      r_plus: float) -> dict[str, complex]:
-    """Both readings of the printed transmitted coefficient, as labels.
+    """The two readings of the printed transmitted coefficient, as labels.
 
     The printed closed form is ambiguous between r_+ (J')^2 and
-    r_+ d(J^2)/d(pr); the artifact's d comes from value matching, and
-    these are reported alongside it for comparison only.
+    r_+ d(J^2)/d(pr); the artifact's d is the value-matched
+    match_two_body(...).d, and these are reported alongside it for
+    comparison only.
     """
     idx = radial_indices(params, 0)
     ev = bessel_eval(idx.b_prime, p * r_plus)
@@ -310,7 +310,6 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
     return {
         "derivative_squared": r_plus * jd * jd * pref,
         "derivative_of_square": r_plus * 2.0 * j * jd * pref,
-        "value_matched": math.sqrt(r_plus) * j * cmath.exp(1j * p * r_plus),
     }
 
 
@@ -365,7 +364,7 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
                  direction: Sequence[float] | None = None) -> ScatteringMatch:
     """Value+derivative continuity of the envelope form at r_-.
 
-    A1 and B1 follow the closed matching expressions
+    a and b follow the closed matching expressions
     [ipFS -+ (F'S - S'F)] e^{+-ipr} / (p^(n'-1/2) 2ip S^2); with real
     profile data the numerators are conjugate, forcing R = 1.
     """
@@ -385,13 +384,12 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
     p = pset.p
     n_prime = radial_indices(params, 0).n_prime
     denom = p ** (n_prime - 0.5) * 2j * p * s_v * s_v
-    a1 = (1j * p * f_v * s_v - fd_v * s_v + sd_v * f_v) \
+    a = (1j * p * f_v * s_v - fd_v * s_v + sd_v * f_v) \
         * cmath.exp(1j * p * r_minus) / denom
-    b1 = (1j * p * f_v * s_v + fd_v * s_v - sd_v * f_v) \
+    b = (1j * p * f_v * s_v + fd_v * s_v - sd_v * f_v) \
         * cmath.exp(-1j * p * r_minus) / denom
-    return ScatteringMatch(r_minus=r_minus, r_plus=None, a=None, b=None,
-                           d=None, a1=a1, b1=b1,
-                           reflection=_squared_ratio(b1, a1, p, r_minus),
+    return ScatteringMatch(r_minus=r_minus, r_plus=None, a=a, b=b, d=None,
+                           reflection=_squared_ratio(b, a, p, r_minus),
                            transmission=None, derivative_mismatch=None)
 
 
@@ -405,10 +403,6 @@ class TransferData:
     quantity, always finite here; the matrix itself uses the
     symmetric-barrier completion, which fixes det m = 1.
     """
-    a_plus: complex
-    b_plus: complex
-    a_minus: complex
-    b_minus: complex
     m: tuple[tuple[complex, complex], tuple[complex, complex]]
     det_m: complex
     inv_m22: complex
@@ -416,7 +410,7 @@ class TransferData:
 
 
 def transfer_matrix(match: ScatteringMatch) -> TransferData:
-    if match.a is None or match.b is None or match.d is None:
+    if match.d is None:
         raise DomainError("transfer matrix needs a two-body match")
     if match.a == 0:
         raise NumericalFailureError(
@@ -433,9 +427,7 @@ def transfer_matrix(match: ScatteringMatch) -> TransferData:
         m = ((t - rho * rho / t, rho / t), (-rho / t, 1.0 / t))
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         status = M22_FINITE_NONZERO
-    return TransferData(a_plus=match.d, b_plus=0j, a_minus=match.a,
-                        b_minus=match.b, m=m, det_m=det, inv_m22=t,
-                        m22_status=status)
+    return TransferData(m=m, det_m=det, inv_m22=t, m22_status=status)
 
 
 def transfer_status(params: CouplingParams, p: float = 1.0,

@@ -237,29 +237,9 @@ def _channels(params: CouplingParams,
     return tuple(out)
 
 
-def scattering_eigenfunction(x, pset: MomentumSet,
-                             poly: SymPolynomial | None,
-                             params: CouplingParams, k: int) -> complex:
-    """Single degenerate scattering state at degree k (poly=None means 1)."""
-    if pset.p <= 0.0:
-        raise DomainError("scattering states need p > 0")
-    if poly is not None and poly.n_vars != params.n_particles:
-        raise DomainError(f"polynomial in {poly.n_vars} variables for "
-                          f"{params.n_particles} particles")
-    channel = _Channel(k, radial_indices(params, k).b_prime,
-                       None if poly is None else float_evaluator(poly), 1.0)
-    return _state_evaluator(params, pset.p, (channel,))(x)
-
-
-def general_eigenfunction(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
-                          params: CouplingParams) -> complex:
-    """Finite superposition of degenerate states with scaled coefficients."""
-    return make_general_state(params, pset, coeffs)(x)
-
-
 def make_scattering_state(params: CouplingParams, pset: MomentumSet,
                           k: int, q: int = 1) -> Callable[[tuple], complex]:
-    """Callable psi(coords) for one degenerate state (for FD verification)."""
+    """Callable psi(coords) for the degenerate state (k, q), coefficient 1."""
     return _state_evaluator(params, pset.p, _channels(params, {(k, q): 1.0}))
 
 
@@ -340,28 +320,6 @@ def asymptotic_wave(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
         pval = 1.0 if ch.poly is None else ch.poly(coords)
         total += ch.coeff * r ** (-ch.k) * pval * phase
     return envelope * total
-
-
-def plane_wave_in(x, pset: MomentumSet, amplitude: complex) -> complex:
-    """amplitude * exp(i sum_j p_j x_j)."""
-    coords = _coords_of(x)
-    return amplitude * cmath.exp(1j * lsum(p * c for p, c
-                                          in zip(pset.momenta, coords)))
-
-
-def plane_wave_out(x, pset: MomentumSet, amplitude: complex,
-                   nu_prime: float) -> complex:
-    """Reversed-momentum wave with phase exp(-i pi nu' N(N-1)/2).
-
-    The phase is the pure-phase form of the outgoing prefactor; a stray
-    power of r would not be asymptotically normalizable (see metadata flag
-    "outgoing_prefactor").
-    """
-    coords = _coords_of(x)
-    n = len(coords)
-    phase = cmath.exp(-1j * math.pi * nu_prime * n * (n - 1) / 2.0)
-    return amplitude * phase * cmath.exp(
-        1j * lsum(c * p for c, p in zip(coords, pset.reversed_momenta())))
 
 
 # --- finite-difference Hamiltonian -------------------------------------------

@@ -114,12 +114,36 @@ class TestScan:
             "--seed", "1", "--out", str(out_file))
         assert "ss_tolerance" not in out_file.read_text()
 
+    def test_non_finite_momentum_bound(self, capsys, tmp_path):
+        # an infinite bound would draw p = inf and write all-nan rows
+        out_file = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "scan", "--n", "3", "--samples", "3",
+                             "--p-max", "inf", "--seed", "1",
+                             "--out", str(out_file))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error: need 0 < p_min <= p_max")
+        assert not out_file.exists()
+
     def test_io_failure(self, capsys):
         code, _, err = run(capsys, "scan", "--n", "2", "--samples", "1",
                            "--p-max", "5", "--seed", "1",
                            "--out", "/nonexistent-dir/x.csv")
         assert code == EXIT_IO
         assert "i/o failure" in err
+
+    def test_output_digest(self, capsys, tmp_path):
+        # CSV and stderr of scans at N = 3..6, byte for byte
+        digest = hashlib.sha256()
+        for n in range(3, 7):
+            csv = tmp_path / f"n{n}.csv"
+            code, out, err = run(capsys, "scan", "--n", str(n), "--samples",
+                                 "40", "--p-min", "0.05", "--p-max", "12",
+                                 "--seed", str(10 + n), "--nu-prime", "1.5",
+                                 "--delta", "0.25", "--out", str(csv))
+            assert code == EXIT_OK and out == ""
+            digest.update(f"{code}\n{err}".encode() + csv.read_bytes())
+        assert digest.hexdigest() == ("2932e3e3a99d88538f7676777887ff0d"
+                                      "a87d1e450911d279fce26e07c4120388")
 
 
 class TestCoeffs:
@@ -177,6 +201,29 @@ class TestCoeffs:
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
                          "--g", "0", "--nu-prime", "1", "--delta", "0")
         assert code == EXIT_USAGE
+
+    def test_output_digest(self, capsys):
+        # two-body rows with their alt_d_* lines, and envelope rows at
+        # N = 3 (k = 0 and 3) and N = 4..6, byte for byte
+        argvs = [("coeffs", "--n", "2", "--nu-prime", nu, "--delta", delta,
+                  "--p", p, "--r-minus", rm, "--r-plus", rp)
+                 for nu, delta in (("1", "0.5"), ("2.5", "-0.25"))
+                 for p, rm, rp in (("1", "50", "5"), ("0.3", "7", "2.5"),
+                                   ("3.7", "400", "11"))]
+        argvs += [("coeffs", "--n", "3", "--nu-prime", "1", "--delta", "0.5",
+                   "--p", p, "--r-minus", rm, "--k", k)
+                  for p, rm in (("1", "80"), ("0.6", "12"))
+                  for k in ("0", "3")]
+        argvs += [("coeffs", "--n", str(n), "--nu-prime", "3", "--delta",
+                   "0.5", "--p", "1.02", "--r-minus", "30")
+                  for n in range(4, 7)]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == ("39507d6f2f5654557a4b024b45760f7f"
+                                      "fbd9aecf7ca8b25932dd49a152ee4a94")
 
 
 class TestSweep:
@@ -458,6 +505,47 @@ class TestConfigAndEnv:
                            "--g", "0", "--delta", "0")
         assert code == EXIT_USAGE
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("doc,command,problem", [
+        ({"tol": [1]}, "residual", "'tol' takes a string or a number, "
+                                   "got [1]"),
+        ({"h": None}, "residual", "'h' takes a string or a number, "
+                                  "got null"),
+        ({"plot_column": "X"}, "sweep", "'plot_column': \"X\" is not one "
+                                        "of R, T, deriv_mismatch"),
+        ({"log": "false"}, "sweep", "'log' takes true or false, "
+                                    "got \"false\""),
+        ({"k": 1.5}, "residual", "'k': invalid value 1.5"),
+    ], ids=["tol-list", "h-null", "plot-column-choice", "log-string",
+            "k-float"])
+    def test_config_value_checked_as_option(self, capsys, tmp_path, doc,
+                                            command, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        plot = tmp_path / "t.svg"
+        argv = ["--config", str(cfg), command, "--n", "2", "--nu-prime", "1",
+                "--delta", "0", "--p", "1"]
+        if command == "sweep":
+            argv += ["--param", "p", "--from", "1", "--to", "2", "--steps",
+                     "2", "--plot", str(plot)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: config key {problem}\n"
+        assert not plot.exists()
+
+    def test_config_values_parsed_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": "2", "delta": 0, "log": True,
+                                   "plot_column": "R"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "nu-prime")
+        assert code == EXIT_OK
+        assert json.loads(out)["selected"] == 2.0
+        parser = cli.build_parser()
+        cli._apply_config(parser, ["--config", str(cfg)])
+        ns = parser.parse_args(["sweep", "--n", "2", "--param", "p",
+                                "--from", "1", "--to", "2", "--steps", "2"])
+        assert (ns.g, ns.delta, ns.log, ns.plot_column) == (2.0, 0.0, True,
+                                                            "R")
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -115,6 +115,13 @@ class TestSampler:
         with pytest.raises(DomainError):
             momentum_sampler(3, 0.0, 10.0, seed=1)
 
+    @pytest.mark.parametrize("p_min,p_max", [
+        (0.01, math.inf), (math.inf, math.inf), (0.01, math.nan)])
+    def test_non_finite_bound_rejected(self, p_min, p_max):
+        # an infinite p_max would draw p = inf and nan momenta
+        with pytest.raises(DomainError):
+            momentum_sampler(3, p_min, p_max, seed=1)
+
 
 class TestScan:
     def test_no_verdicts_smoke(self):
@@ -264,8 +271,8 @@ class TestTwoBodyMatch:
     def test_alt_readings_labeled(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
         readings = transmitted_coefficient_readings(params, 1.0, 5.0)
-        assert set(readings) == {"derivative_squared", "derivative_of_square",
-                                 "value_matched"}
+        assert set(readings) == {"derivative_squared",
+                                 "derivative_of_square"}
 
     def test_domain(self):
         params3 = CouplingParams.from_exponent(3, 1.0, 0.0)
@@ -282,7 +289,8 @@ class TestNBodyMatch:
         coeffs = SuperpositionCoeffs.for_params(params, entries)
         m = match_n_body(params, pset, coeffs, r_minus=80.0)
         assert abs(m.reflection - 1.0) < 1e-9
-        assert abs(abs(m.a1) - abs(m.b1)) < 1e-12 * abs(m.a1)
+        assert abs(abs(m.a) - abs(m.b)) < 1e-12 * abs(m.a)
+        assert m.d is None and m.transmission is None
 
     def test_two_body_reduction(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
@@ -378,7 +386,7 @@ class TestTransferMatrix:
         phase = cmath.exp(1.1j)
         rotated = ScatteringMatch(
             r_minus=m.r_minus, r_plus=m.r_plus, a=m.a * phase, b=m.b * phase,
-            d=m.d * phase, a1=None, b1=None, reflection=m.reflection,
+            d=m.d * phase, reflection=m.reflection,
             transmission=m.transmission,
             derivative_mismatch=m.derivative_mismatch)
         td2 = transfer_matrix(rotated)
@@ -390,8 +398,8 @@ class TestTransferMatrix:
 
     def test_zero_incoming_amplitude_raises(self):
         match = ScatteringMatch(r_minus=50.0, r_plus=5.0, a=0j, b=1.0 + 0j,
-                                d=0.5 + 0j, a1=None, b1=None,
-                                reflection=math.inf, transmission=math.inf,
+                                d=0.5 + 0j, reflection=math.inf,
+                                transmission=math.inf,
                                 derivative_mismatch=0.0)
         with pytest.raises(NumericalFailureError):
             transfer_matrix(match)

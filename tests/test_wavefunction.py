@@ -11,19 +11,17 @@ from calogero_ss.errors import (AsymptoticRangeError, DomainError,
 from calogero_ss.model import (HAMILTONIAN_TERMS, CouplingParams,
                                hamiltonian_term, radial_indices)
 from calogero_ss.polynomials import evaluate_poly
+from calogero_ss.scattering import _forward_wave, _reversed_wave
 from calogero_ss.specialfn import bessel_j
 from calogero_ss.wavefunction import (Configuration, MomentumSet,
                                       SuperpositionCoeffs,
                                       apply_hamiltonian_fd, asymptotic_wave,
-                                      eigen_residual, general_eigenfunction,
-                                      ground_state, laplace_solutions,
-                                      make_general_state,
-                                      make_scattering_state, plane_wave_in,
-                                      plane_wave_out, radial_coordinate,
-                                      radial_solution,
+                                      eigen_residual, ground_state,
+                                      laplace_solutions, make_general_state,
+                                      make_scattering_state,
+                                      radial_coordinate, radial_solution,
                                       reference_momentum_set,
-                                      residual_convergence,
-                                      scattering_eigenfunction, state_energy)
+                                      residual_convergence, state_energy)
 
 
 class TestConfiguration:
@@ -137,7 +135,7 @@ class TestEigenfunctions:
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
         pset = symmetric_pset(2, 1.0)
         x = (1.0, -1.0)
-        got = scattering_eigenfunction(x, pset, None, params, 0)
+        got = make_scattering_state(params, pset, 0)(x)
         r = math.sqrt(2.0)
         expected = 2.0 * r ** -0.5 * bessel_j(0.5, r)
         assert got == pytest.approx(complex(expected), rel=1e-12)
@@ -150,7 +148,7 @@ class TestEigenfunctions:
         r = radial_coordinate(x)
         expected = ground_state(x, params.nu_prime) * radial_solution(
             r, pset.p, idx.b_prime)
-        assert scattering_eigenfunction(x, pset, None, params, 0) == \
+        assert make_scattering_state(params, pset, 0)(x) == \
             pytest.approx(complex(expected), rel=1e-12)
 
     def test_general_single_entry_scaling(self):
@@ -158,10 +156,10 @@ class TestEigenfunctions:
         pset = symmetric_pset(3, 1.3)
         coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
         x = (2.0, 0.1, -1.8)
-        single = scattering_eigenfunction(x, pset, None, params, 0)
+        single = make_scattering_state(params, pset, 0)(x)
         n_prime = radial_indices(params, 0).n_prime
         # one evaluator: a unit coefficient gives p^n' * psi bit for bit
-        assert general_eigenfunction(x, pset, coeffs, params) == \
+        assert make_general_state(params, pset, coeffs)(x) == \
             single * pset.p ** n_prime
 
     def test_linearity(self):
@@ -172,16 +170,16 @@ class TestEigenfunctions:
         scaled = SuperpositionCoeffs.for_params(params, {(0, 1): 2.5,
                                                          (3, 1): 1.25})
         x = (2.5, 0.3, -2.0)
-        assert general_eigenfunction(x, pset, scaled, params) == \
-            pytest.approx(2.5 * general_eigenfunction(x, pset, base, params),
+        assert make_general_state(params, pset, scaled)(x) == \
+            pytest.approx(2.5 * make_general_state(params, pset, base)(x),
                           rel=1e-12)
 
     def test_zero_degeneracy_entry_rejected(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
         pset = symmetric_pset(3, 1.0)
         coeffs = SuperpositionCoeffs.for_params(params, {(1, 1): 1.0})
-        with pytest.raises(DomainError):
-            general_eigenfunction((2.0, 0.0, -2.0), pset, coeffs, params)
+        with pytest.raises(DomainError, match="zero degeneracy"):
+            make_general_state(params, pset, coeffs)
 
     def test_degeneracy_lookup(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
@@ -210,17 +208,14 @@ class TestStateEvaluator:
             if poly is not None:
                 value *= float(evaluate_poly(poly, x))
             assert psi(x) == complex(value)
-            assert scattering_eigenfunction(x, pset, poly, params, k) \
-                == complex(value)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_exception_types(self, k):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
         pset = symmetric_pset(3, 1.2)
-        psi = make_scattering_state(params, pset, k)
-        poly = laplace_solutions(params, k)[0] if k else None
-        for call in (psi, lambda x: scattering_eigenfunction(
-                x, pset, poly, params, k)):
+        coeffs = SuperpositionCoeffs.for_params(params, {(k, 1): 0.5})
+        for call in (make_scattering_state(params, pset, k),
+                     make_general_state(params, pset, coeffs)):
             with pytest.raises(DomainError, match="ordered descending"):
                 call((0.0, 1.0, 2.0))
             with pytest.raises(DomainError, match="r > 0"):
@@ -386,7 +381,7 @@ class TestAsymptoticWave:
         coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
         r_target = 100.0
         x = (r_target / math.sqrt(2.0), -r_target / math.sqrt(2.0))
-        full = general_eigenfunction(x, pset, coeffs, params)
+        full = make_general_state(params, pset, coeffs)(x)
         split = asymptotic_wave(x, pset, coeffs, params, +1) + \
             asymptotic_wave(x, pset, coeffs, params, -1)
         assert abs(full - split) / abs(full) < 1e-3
@@ -431,7 +426,7 @@ class TestAsymptoticWave:
         errs = []
         for r in (419.0, 853.0):
             x = (r / math.sqrt(2.0), -r / math.sqrt(2.0))
-            full = general_eigenfunction(x, pset, coeffs, params)
+            full = make_general_state(params, pset, coeffs)(x)
             split = asymptotic_wave(x, pset, coeffs, params, +1,
                                     max_rel_error=1e-2) + \
                 asymptotic_wave(x, pset, coeffs, params, -1,
@@ -452,22 +447,24 @@ class TestAsymptoticWave:
 
 
 class TestPlaneWaves:
+    # the Jost plane waves exp(i sum p_j x_j) and
+    # e^(i pi phi) exp(i sum x_j p_(N+1-j)) of the Wronskian
     def test_zero_phase(self):
         # equal coordinates with opposite momenta: sum p_j x_j = 0 exactly
         pset = MomentumSet.from_momenta((-1.0, 1.0))
-        val = plane_wave_in((3.0, 3.0), pset, 2.0 + 0.0j)
-        assert val == pytest.approx(2.0 + 0.0j, abs=1e-12)
+        val = _forward_wave(pset, (3.0, 3.0))
+        assert val == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_outgoing_phase_two_body(self):
         pset = MomentumSet.from_momenta((-1.0, 1.0))
-        # nu' = 1/2, N = 2: phase exp(-i pi/2) = -i at vanishing exponent sum
-        val = plane_wave_out((0.0, 0.0), pset, 1.0, nu_prime=0.5)
+        # the outgoing phase exp(-i pi nu' N(N-1)/2) is phi = -nu' N(N-1)/2;
+        # nu' = 1/2, N = 2 gives -i at vanishing exponent sum
+        val = _reversed_wave(pset, -0.5, (0.0, 0.0))
         assert val == pytest.approx(-1j, abs=1e-12)
 
     def test_pure_phases(self):
         pset = MomentumSet.from_momenta((-2.0, -1.0, 3.0))
-        amp = 1.7 - 0.3j
         for x in [(2.0, 0.5, -1.0), (10.0, 3.0, -4.0)]:
-            assert abs(plane_wave_in(x, pset, amp)) == pytest.approx(abs(amp))
-            assert abs(plane_wave_out(x, pset, amp, 1.3)) == pytest.approx(
-                abs(amp))
+            assert abs(_forward_wave(pset, x)) == pytest.approx(1.0)
+            assert abs(_reversed_wave(pset, -1.3 * 3, x)) == \
+                pytest.approx(1.0)
