@@ -14,9 +14,8 @@ from .errors import (AsymptoticRangeError, CalogeroError, CouplingRangeError,
                      NumericalFailureError, ResourceLimitError,
                      SingularConfigurationError)
 from .model import (CouplingParams, ExponentRoots, RadialIndices, Validity,
-                    bound_state_energy, classify_validity,
-                    coupling_from_exponent, pt_invariance_residual,
-                    radial_indices, solve_nu_prime)
+                    classify_validity, coupling_from_exponent,
+                    pt_invariance_residual, radial_indices, solve_nu_prime)
 from .polynomials import (LaplaceSystem, SymPolynomial, degeneracy,
                           evaluate_poly, generic_degeneracy,
                           solve_generalized_laplace, ti_symmetric_basis)
@@ -27,8 +26,7 @@ from .scattering import (JostPair, ScanSummary, ScatteringMatch,
                          ss_scan, transfer_matrix, transmission_sweep,
                          transmission_trend, wronskian,
                          wronskian_product_form, wronskian_report)
-from .specialfn import (BesselEval, bessel_asymptotic, bessel_eval, bessel_j,
-                        bessel_j_prime)
+from .specialfn import BesselEval, bessel_eval, bessel_j, bessel_j_prime
 from .wavefunction import (Configuration, MomentumSet, SuperpositionCoeffs,
                            apply_hamiltonian_fd, asymptotic_wave,
                            eigen_residual, ground_state, make_general_state,

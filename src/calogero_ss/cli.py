@@ -470,14 +470,8 @@ def _config_value(action: argparse.Action, key: str, value):
     return parsed
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
+def _apply_config(parser: _Parser, path: str) -> None:
     """Load --config JSON as defaults; explicit flags still win."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a path")
-    path = argv[idx + 1]
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -498,15 +492,15 @@ def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
             raise UsageError(f"unknown config key {key!r}")
         for sub, action in owners:
             sub.set_defaults(**{dest: _config_value(action, key, value)})
-    return argv
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         # argparse actions and help formatters point back at their owners,
         # so a dropped parser is ~420 objects (~70 KB) of cyclic garbage.
         # Free it while it is young: left to the automatic collector, an

@@ -6,9 +6,8 @@ ground-state exponent nu' through the quadratic
     g = nu'^2 - nu' (1 + 2 delta),
 
 derives the radial indices (b', A', n', c) used by the wavefunction and
-scattering modules, evaluates the confined model's bound spectrum, applies
-the Hamiltonian terms by finite differences, and provides an extensional
-PT-commutation checker for them.
+scattering modules, applies the Hamiltonian terms by finite differences, and
+provides an extensional PT-commutation checker for them.
 """
 
 from __future__ import annotations
@@ -84,26 +83,16 @@ def coupling_from_exponent(nu_prime: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Model parameters with the derived exponent and validity class.
-
-    omega is carried for the bound-spectrum formula only; every scattering
-    operation requires omega = 0.  nu is the undeformed exponent solving
-    g = nu^2 - nu (None when that quadratic has no real root); it enters
-    only the bound-spectrum formula.
-    """
+    """Model parameters with the derived exponent and validity class."""
     n_particles: int
     g: float
     delta: float
-    omega: float
     nu_prime: float
-    nu: float | None
     validity_class: Validity
 
     def __post_init__(self):
         if self.n_particles < 2:
             raise DomainError("need at least 2 particles")
-        if self.omega < 0.0:
-            raise DomainError("omega must be >= 0")
         if self.nu_prime < 0.0:
             raise DomainError("nu_prime must be >= 0")
         expected = coupling_from_exponent(self.nu_prime, self.delta)
@@ -113,28 +102,20 @@ class CouplingParams:
                 f"nu'^2 - nu'(1+2 delta) = {expected}")
 
     @classmethod
-    def from_coupling(cls, n_particles: int, g: float, delta: float,
-                      omega: float = 0.0) -> "CouplingParams":
+    def from_coupling(cls, n_particles: int, g: float,
+                      delta: float) -> "CouplingParams":
         sol = solve_nu_prime(g, delta)
         if sol.validity is Validity.INVALID:
             raise CouplingRangeError(
                 f"couplings g={g}, delta={delta} outside both validity ranges")
-        return cls(n_particles, g, delta, omega, sol.selected,
-                   _undeformed_exponent(g), sol.validity)
+        return cls(n_particles, g, delta, sol.selected, sol.validity)
 
     @classmethod
-    def from_exponent(cls, n_particles: int, nu_prime: float, delta: float,
-                      omega: float = 0.0) -> "CouplingParams":
+    def from_exponent(cls, n_particles: int, nu_prime: float,
+                      delta: float) -> "CouplingParams":
         g = coupling_from_exponent(nu_prime, delta)
-        return cls(n_particles, g, delta, omega, nu_prime,
-                   _undeformed_exponent(g), classify_validity(g, delta))
-
-
-def _undeformed_exponent(g: float) -> float | None:
-    disc = 1.0 + 4.0 * g
-    if disc < 0.0:
-        return None
-    return (1.0 + math.sqrt(disc)) / 2.0
+        return cls(n_particles, g, delta, nu_prime,
+                   classify_validity(g, delta))
 
 
 @dataclass(frozen=True)
@@ -163,28 +144,6 @@ def radial_indices(params: CouplingParams, k: int) -> RadialIndices:
                          n_prime=n_prime, c=params.nu_prime - b_prime)
 
 
-def bound_state_energy(n_particles: int, nu: float, omega: float,
-                       n: Sequence[int]) -> float:
-    """Confined-model spectrum: E = (N w/2)[1 + (N-1) nu] + w sum(n_j).
-
-    Quantum numbers must be non-negative integers, non-decreasing.
-    """
-    if omega <= 0.0:
-        raise DomainError("bound spectrum needs omega > 0")
-    if nu < 0.0:
-        raise DomainError("nu must be >= 0")
-    if len(n) != n_particles:
-        raise DomainError(f"need {n_particles} quantum numbers, got {len(n)}")
-    for j, nj in enumerate(n):
-        if nj != int(nj) or nj < 0:
-            raise DomainError(f"quantum number n[{j}]={nj} not a non-negative "
-                              "integer")
-        if j and nj < n[j - 1]:
-            raise DomainError("quantum numbers must be non-decreasing")
-    return (n_particles * omega / 2.0) * (1.0 + (n_particles - 1) * nu) \
-        + omega * sum(n)
-
-
 # --- finite-difference Hamiltonian and PT-commutation checker ----------------
 #
 # The Hamiltonian terms are applied by second-order central differences.
@@ -196,21 +155,20 @@ def bound_state_energy(n_particles: int, nu: float, omega: float,
 
 TermFn = Callable[[Callable, Sequence[float], float], complex]
 
-HAMILTONIAN_TERMS = ("kinetic", "inverse_square", "momentum_deformation",
-                     "harmonic")
+HAMILTONIAN_TERMS = ("kinetic", "inverse_square", "momentum_deformation")
 
 
 def hamiltonian_terms(f: Callable[[tuple], complex], x: Sequence[float],
-                      g: float, delta: float, omega: float, h: float
-                      ) -> tuple[complex, complex, complex, complex]:
-    """(kinetic, inverse-square, deformation, harmonic) term values at x.
+                      g: float, delta: float, h: float
+                      ) -> tuple[complex, complex, complex]:
+    """(kinetic, inverse-square, deformation) term values at x.
 
-    All four share one 2N+1-point stencil of step h.  No ordering of x is
+    All three share one 2N+1-point stencil of step h.  No ordering of x is
     assumed; callers keep the stencil off the coincidence hyperplanes.
     """
     center = complex(f(tuple(x)))
     plus, minus = stencil_values(f, x, h)
-    return terms_from_stencil(x, center, plus, minus, g, delta, omega, h)
+    return terms_from_stencil(x, center, plus, minus, g, delta, h)
 
 
 def stencil_values(f: Callable[[tuple], complex], x: Sequence[float],
@@ -227,9 +185,9 @@ def stencil_values(f: Callable[[tuple], complex], x: Sequence[float],
 
 def terms_from_stencil(x: Sequence[float], center: complex,
                        plus: Sequence[complex], minus: Sequence[complex],
-                       g: float, delta: float, omega: float, h: float
-                       ) -> tuple[complex, complex, complex, complex]:
-    """The four term values from f(x) and the stencil values around it."""
+                       g: float, delta: float, h: float
+                       ) -> tuple[complex, complex, complex]:
+    """The three term values from f(x) and the stencil values around it."""
     n = len(x)
     kinetic = -0.5 * lsum((plus[j] - 2.0 * center + minus[j]) / (h * h)
                          for j in range(n))
@@ -239,10 +197,7 @@ def terms_from_stencil(x: Sequence[float], center: complex,
     deform = delta * lsum(
         (plus[j] - minus[j]) / (2.0 * h) / (x[j] - x[m])
         for j in range(n) for m in range(n) if j != m)
-    harmonic = 0j
-    if omega != 0.0:
-        harmonic = (omega ** 2 / 2.0) * lsum(c * c for c in x) * center
-    return kinetic, inv_sq, deform, harmonic
+    return kinetic, inv_sq, deform
 
 
 def _min_pair_gap(x: Sequence[float]) -> float:
@@ -250,8 +205,7 @@ def _min_pair_gap(x: Sequence[float]) -> float:
     return min(abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n))
 
 
-def hamiltonian_term(name: str, g: float = 1.0, delta: float = 0.5,
-                     omega: float = 0.0) -> TermFn:
+def hamiltonian_term(name: str, g: float = 1.0, delta: float = 0.5) -> TermFn:
     """One term of the extended Hamiltonian as an (f, x, h) -> value map."""
     if name == "control_x1":
         return lambda f, x, h: x[0] * f(tuple(x))
@@ -260,15 +214,14 @@ def hamiltonian_term(name: str, g: float = 1.0, delta: float = 0.5,
     if name not in HAMILTONIAN_TERMS:
         raise DomainError(f"unknown Hamiltonian term {name!r}")
     i = HAMILTONIAN_TERMS.index(name)
-    return lambda f, x, h: hamiltonian_terms(f, x, g, delta, omega, h)[i]
+    return lambda f, x, h: hamiltonian_terms(f, x, g, delta, h)[i]
 
 
 def pt_invariance_residual(term: str | TermFn,
                            testfn: Callable[[tuple], complex],
                            sample: Sequence[float], *,
                            g: float = 1.0, delta: float = 0.5,
-                           omega: float = 0.0, h: float = 1e-4,
-                           min_gap: float = 1e-6) -> float:
+                           h: float = 1e-4, min_gap: float = 1e-6) -> float:
     """|PT(T psi)(x) - T(PT psi)(x)| for one Hamiltonian term T.
 
     ~0 for every term of the extended Hamiltonian, O(|x_1 psi|) for the
@@ -281,7 +234,7 @@ def pt_invariance_residual(term: str | TermFn,
     if gap < max(min_gap, 4.0 * h):
         raise SingularConfigurationError(
             f"sample gap {gap:.3e} too close to a coincidence hyperplane")
-    op = hamiltonian_term(term, g=g, delta=delta, omega=omega) \
+    op = hamiltonian_term(term, g=g, delta=delta) \
         if isinstance(term, str) else term
 
     def pt_of(fn):

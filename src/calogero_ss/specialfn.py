@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AsymptoticRangeError, DomainError
+from .errors import DomainError
 
 # Envelope-relative accuracy target of the evaluator.
 REL_TARGET = 1e-10
@@ -159,27 +159,6 @@ def asymptotic_threshold(order: float, max_rel_error: float = 1e-6) -> float:
     if lead == 0.0:
         return 0.0
     return lead / max_rel_error
-
-
-def bessel_asymptotic(order: float, x: float,
-                      max_rel_error: float = 1e-6) -> tuple[float, float]:
-    """Leading large-argument decomposition J ~ amplitude * cos(x + phase).
-
-    Returns (amplitude, phase) with amplitude = sqrt(2/(pi x)) (independent
-    of order) and phase = -order*pi/2 - pi/4.  Raises AsymptoticRangeError
-    when x is below the threshold at which the leading term is good to
-    max_rel_error.
-    """
-    if not (math.isfinite(order) and math.isfinite(x)):
-        raise DomainError("bessel_asymptotic: non-finite input")
-    if x <= 0.0:
-        raise DomainError("bessel_asymptotic: need x > 0")
-    threshold = asymptotic_threshold(order, max_rel_error)
-    if x < threshold:
-        raise AsymptoticRangeError(
-            f"bessel_asymptotic: x={x} below threshold {threshold:.6g} for "
-            f"order {order} at tolerance {max_rel_error:g}")
-    return math.sqrt(2.0 / (math.pi * x)), -order * math.pi / 2.0 - math.pi / 4.0
 
 
 @dataclass(frozen=True)

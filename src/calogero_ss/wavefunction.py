@@ -97,6 +97,9 @@ class MomentumSet:
         if abs(lsum(ms)) > SUM_ZERO_TOL * len(ms) * max(big, 1.0):
             raise DomainError(f"momenta must sum to zero, got {lsum(ms):.3e}")
         p = math.sqrt(lsum(v * v for v in ms))
+        if not math.isfinite(p):  # any nan or inf momentum lands here
+            raise DomainError("momenta and their magnitude must be finite, "
+                              f"got p = {p}")
         alphas = tuple(v / p for v in ms) if p > 0 else tuple(0.0 for _ in ms)
         return cls(ms, p, alphas)
 
@@ -343,8 +346,7 @@ def apply_hamiltonian_fd(psi: Callable[[tuple], complex], x,
     """(H psi)(x) with second-order central differences."""
     coords = _coords_of(x)
     _check_stencil(_adjacent_gaps(coords), h)
-    return lsum(hamiltonian_terms(psi, coords, params.g, params.delta,
-                                 params.omega, h))
+    return lsum(hamiltonian_terms(psi, coords, params.g, params.delta, h))
 
 
 def state_energy(pset: MomentumSet) -> float:
@@ -427,7 +429,7 @@ def _residual(psi: Callable[[tuple], complex], p_squared: float,
         _check_stencil(gaps, h)
         plus, minus = stencil_values(psi, coords, h)
         terms = terms_from_stencil(coords, psi_val, plus, minus, params.g,
-                                   params.delta, params.omega, h)
+                                   params.delta, h)
         hpsi = lsum(terms)
         target = p_squared * psi_val
         term_scale = lsum(abs(t) for t in terms)

@@ -490,6 +490,23 @@ class TestConfigAndEnv:
         assert code == EXIT_OK
         assert json.loads(out)["selected"] == 2.0
 
+    @pytest.mark.parametrize("spelling", [("--config", "{}"),
+                                          ("--config={}",), ("--conf", "{}")],
+                             ids=["separate", "equals", "abbreviated"])
+    def test_every_config_spelling_applies_the_file(self, capsys, tmp_path,
+                                                    spelling):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": 2.0, "delta": 0.0}))
+        argv = [part.format(cfg) for part in spelling]
+        code, out, err = run(capsys, *argv, "nu-prime")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["selected"] == 2.0
+
+    def test_config_without_path(self, capsys):
+        code, out, err = run(capsys, "--config")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "expected one argument" in err
+
     def test_flags_win_over_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"g": 2.0, "delta": 0.0}))
@@ -541,7 +558,7 @@ class TestConfigAndEnv:
         assert code == EXIT_OK
         assert json.loads(out)["selected"] == 2.0
         parser = cli.build_parser()
-        cli._apply_config(parser, ["--config", str(cfg)])
+        cli._apply_config(parser, str(cfg))
         ns = parser.parse_args(["sweep", "--n", "2", "--param", "p",
                                 "--from", "1", "--to", "2", "--steps", "2"])
         assert (ns.g, ns.delta, ns.log, ns.plot_column) == (2.0, 0.0, True,

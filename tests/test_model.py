@@ -1,4 +1,4 @@
-"""Exponent algebra, validity ranges, spectrum formula, PT checker."""
+"""Exponent algebra, validity ranges, radial indices, PT checker."""
 
 import cmath
 import math
@@ -9,10 +9,9 @@ import pytest
 from calogero_ss.errors import (CouplingRangeError, DomainError,
                                 NoRealExponentError,
                                 SingularConfigurationError)
-from calogero_ss.model import (CouplingParams, Validity, bound_state_energy,
-                               classify_validity, coupling_from_exponent,
-                               pt_invariance_residual, radial_indices,
-                               solve_nu_prime)
+from calogero_ss.model import (CouplingParams, Validity, classify_validity,
+                               coupling_from_exponent, pt_invariance_residual,
+                               radial_indices, solve_nu_prime)
 
 
 class TestSolveNuPrime:
@@ -87,19 +86,12 @@ class TestCouplingParams:
 
     def test_consistency_enforced(self):
         with pytest.raises(DomainError):
-            CouplingParams(2, 5.0, 0.0, 0.0, 1.0, None, Validity.RANGE_II)
-
-    def test_undeformed_exponent(self):
-        p = CouplingParams.from_coupling(3, 2.0, 0.0)
-        assert p.nu == pytest.approx(2.0)
-        q = CouplingParams.from_exponent(2, 0.4, 1.0)  # g = -0.96 < -1/4
-        assert q.nu is None
+            CouplingParams(2, 5.0, 0.0, 1.0, Validity.RANGE_II)
 
     def test_hermitian_limit_matches_undeformed(self):
         # delta = 0 reduces the quadratic to g = nu'^2 - nu'.
         p = CouplingParams.from_coupling(2, 6.0, 0.0)
         assert p.nu_prime == pytest.approx(3.0)
-        assert p.nu == pytest.approx(p.nu_prime)
 
 
 class TestRadialIndices:
@@ -130,25 +122,6 @@ class TestRadialIndices:
             assert idx.a_prime + k == pytest.approx(idx.b_prime, abs=1e-14)
 
 
-class TestBoundStateEnergy:
-    def test_ground(self):
-        assert bound_state_energy(3, 2.0, 1.0, (0, 0, 0)) == pytest.approx(7.5)
-
-    def test_excited(self):
-        assert bound_state_energy(3, 2.0, 1.0, (0, 1, 2)) == pytest.approx(10.5)
-
-    def test_free_oscillator_limit(self):
-        assert bound_state_energy(2, 0.0, 1.0, (0, 0)) == pytest.approx(1.0)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(DomainError):
-            bound_state_energy(3, 2.0, 1.0, (2, 1, 0))
-        with pytest.raises(DomainError):
-            bound_state_energy(2, 2.0, 1.0, (-1, 0))
-        with pytest.raises(DomainError):
-            bound_state_energy(2, 2.0, 0.0, (0, 0))
-
-
 def gaussian(x):
     return math.exp(-0.5 * sum(c * c for c in x))
 
@@ -169,10 +142,6 @@ class TestPTInvariance:
         res = pt_invariance_residual("momentum_deformation", plane_wave_x1,
                                      (1.0, -1.0), delta=0.7)
         assert res < 1e-6
-
-    def test_harmonic(self):
-        assert pt_invariance_residual("harmonic", gaussian, (1.0, -1.0),
-                                      omega=2.0) < 1e-10
 
     def test_breaking_control_magnitude(self):
         # x_1 multiplication anticommutes with PT: residual 2|x_1 psi(x)|.

@@ -122,6 +122,10 @@ class TestSampler:
         with pytest.raises(DomainError):
             momentum_sampler(3, p_min, p_max, seed=1)
 
+    def test_infinite_magnitude_rejected(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            sample_momenta(3, random.Random(1), math.inf)
+
 
 class TestScan:
     def test_no_verdicts_smoke(self):

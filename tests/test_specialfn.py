@@ -6,11 +6,10 @@ import mpmath as mp
 import pytest
 
 from calogero_ss import specialfn
-from calogero_ss.errors import AsymptoticRangeError, DomainError
+from calogero_ss.errors import DomainError
 from calogero_ss.specialfn import (REL_TARGET, _asymptotic_value, _forward,
-                                   _miller, asymptotic_threshold,
-                                   bessel_asymptotic, bessel_eval, bessel_j,
-                                   bessel_j_prime, switchover)
+                                   _miller, asymptotic_threshold, bessel_eval,
+                                   bessel_j, bessel_j_prime, switchover)
 
 mp.mp.dps = 30
 
@@ -202,39 +201,11 @@ class TestBesselJPrime:
         assert passes == [(order, x)]
 
 
-class TestBesselAsymptotic:
-    def test_amplitude_order_independent(self):
-        for order in [0.5, 1.0, 2.0, 7.0]:
-            amp, _ = bessel_asymptotic(order, 1e9, max_rel_error=1e-6)
-            assert amp == pytest.approx(math.sqrt(2 / (math.pi * 1e9)), rel=1e-14)
-
-    def test_phase_convention(self):
-        _, phase = bessel_asymptotic(1.5, 1e9, max_rel_error=1e-6)
-        assert phase == pytest.approx(-1.5 * math.pi / 2 - math.pi / 4, rel=1e-14)
-
-    def test_exact_for_half_order(self):
-        # order 1/2 has vanishing corrections: valid at any x, matches J.
-        amp, phase = bessel_asymptotic(0.5, 100.0)
-        assert amp * math.cos(100.0 + phase) == pytest.approx(
-            bessel_j(0.5, 100.0), rel=1e-4)
-
-    def test_below_threshold_range_error(self):
-        # Threshold for order 2 at 1e-6 is |4*4-1|/8e-6 = 1.875e6.
-        assert asymptotic_threshold(2.0, 1e-6) == pytest.approx(1.875e6)
-        with pytest.raises(AsymptoticRangeError):
-            bessel_asymptotic(2.0, 50.0)
-
-    def test_leading_term_deviation_measured(self):
-        # Oracle-measured: at (2, 50) the leading decomposition deviates by
-        # ~6.1e-2, so that point only passes at a matching loose tolerance.
-        amp, phase = bessel_asymptotic(2.0, 50.0, max_rel_error=0.1)
-        ref = oracle_j(2.0, 50.0)
-        dev = abs(amp * math.cos(50.0 + phase) - ref) / abs(ref)
-        assert 0.05 < dev < 0.08
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_asymptotic(1.0, 0.0)
+def test_asymptotic_threshold():
+    # |4 nu^2 - 1| / (8 max_rel_error): 15/8e-6 at order 2; order 1/2 has
+    # no correction terms, so its leading term holds everywhere.
+    assert asymptotic_threshold(2.0, 1e-6) == pytest.approx(1.875e6)
+    assert asymptotic_threshold(0.5, 1e-6) == 0.0
 
 
 def test_bessel_eval_record():
