@@ -27,7 +27,7 @@ from .scattering import (JostPair, ScanSummary, ScatteringMatch,
                          transmission_trend, wronskian,
                          wronskian_product_form, wronskian_report)
 from .specialfn import BesselEval, bessel_eval, bessel_j, bessel_j_prime
-from .wavefunction import (Configuration, MomentumSet, SuperpositionCoeffs,
+from .wavefunction import (MomentumSet, SuperpositionCoeffs,
                            apply_hamiltonian_fd, asymptotic_wave,
                            eigen_residual, ground_state, make_general_state,
                            make_scattering_state, radial_coordinate,

@@ -22,13 +22,12 @@ from ._sums import lsum
 from .errors import CalogeroError, CouplingRangeError, DomainError
 from .model import CouplingParams, Validity, solve_nu_prime
 from .polynomials import solve_generalized_laplace
-from .scattering import (ScatteringMatch, check_r_minus_grid, match_n_body,
-                         match_two_body, momentum_sampler, ss_scan,
-                         transmission_trend, transmitted_coefficient_readings)
+from .scattering import (ScatteringMatch, match_at, momentum_sampler,
+                         ss_scan, transmission_sweep,
+                         transmitted_coefficient_readings)
 from .svgplot import render_line_plot
-from .wavefunction import (SuperpositionCoeffs, make_scattering_state,
-                           reference_momentum_set, residual_convergence,
-                           state_energy)
+from .wavefunction import (make_scattering_state, reference_momentum_set,
+                           residual_convergence, state_energy)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,6 +40,9 @@ EXIT_CHECK_FAILED = 6
 SCAN_HEADER = "sample,p,min_pair_factor,min_w_magnitude,m22_status,ss_verdict"
 COEFFS_HEADER = ("p,r_minus,r_plus,re_A,im_A,re_B,im_B,re_D,im_D,R,T,"
                  "deriv_mismatch")
+# sweep --plot-column choices and the ScatteringMatch field each plots
+PLOT_COLUMNS = {"R": "reflection", "T": "transmission",
+                "deriv_mismatch": "derivative_mismatch"}
 
 
 class UsageError(Exception):
@@ -145,19 +147,6 @@ def cmd_scan(args) -> int:
     return EXIT_SS_FOUND if summary.ss_count else EXIT_OK
 
 
-def _match(params: CouplingParams, args, p: float, r_minus: float,
-           r_plus: float) -> ScatteringMatch:
-    """The two-body matcher at N = 2, the envelope matcher above it."""
-    if params.n_particles == 2:
-        return match_two_body(params, p, r_minus, r_plus)
-    entries = {(0, 1): 1.0 + 0j}
-    if args.k:
-        entries[(args.k, 1)] = 0.6 + 0j
-    coeffs = SuperpositionCoeffs.for_params(params, entries)
-    pset = reference_momentum_set(params.n_particles, p)
-    return match_n_body(params, pset, coeffs, r_minus)
-
-
 def _or_nan(x: float | None) -> float:
     return math.nan if x is None else x
 
@@ -185,7 +174,7 @@ def cmd_coeffs(args) -> int:
                                                     args.r_plus)
         for name, val in readings.items():
             metadata[f"alt_d_{name}"] = _f17(abs(val))
-    m = _match(params, args, args.p, args.r_minus, args.r_plus)
+    m = match_at(params, args.p, args.r_minus, args.r_plus, k=args.k)
     if m.d is not None:
         metadata["alt_d_value_matched"] = _f17(abs(m.d))
     _write_text(args.out, _csv_document(metadata, COEFFS_HEADER,
@@ -210,33 +199,28 @@ def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
 def cmd_sweep(args) -> int:
     params = _params_from_args(args)
     grid = _grid(getattr(args, "from_"), args.to, args.steps, args.log)
-    trend_checked = args.param == "r-minus" and params.n_particles == 2
-    if trend_checked:
-        check_r_minus_grid(grid)  # before any matching
-    rows = []
-    matches = []
-    for value in grid:
-        p = value if args.param == "p" else args.p
-        r_minus = value if args.param == "r-minus" else args.r_minus
-        r_plus = value if args.param == "r-plus" else args.r_plus
-        if p is None or p <= 0.0:
-            raise UsageError("sweep needs --p > 0 (or --param p)")
-        m = _match(params, args, p, r_minus, r_plus)
-        rows.append(_coeffs_row(p, m))
-        matches.append(m)
-    column_values = {
-        "R": [m.reflection for m in matches],
-        "T": [_or_nan(m.transmission) for m in matches],
-        "deriv_mismatch": [_or_nan(m.derivative_mismatch) for m in matches]}
+    param = args.param.replace("-", "_")
+    if any(p <= 0.0 for p in (grid if param == "p" else [args.p])):
+        raise UsageError("sweep needs --p > 0 (or --param p)")
+    sweep = transmission_sweep(params, param, grid, p=args.p,
+                               r_minus=args.r_minus, r_plus=args.r_plus,
+                               k=args.k)
+    series = None
+    if args.plot is not None:  # checked before any output is written
+        field = PLOT_COLUMNS[args.plot_column]
+        series = [_or_nan(getattr(m, field)) for _, m in sweep.rows]
+        if any(math.isnan(v) for v in series):
+            raise UsageError(f"column {args.plot_column} is undefined for "
+                             "this sweep")
+    rows = [_coeffs_row(v if param == "p" else args.p, m)
+            for v, m in sweep.rows]
     metadata = _convention_metadata()
     metadata.update({"n": str(args.n), "param": args.param,
                      "from": _f17(getattr(args, "from_")),
                      "to": _f17(args.to), "steps": str(args.steps),
                      "log": "true" if args.log else "false"})
-
-    check_failed = False
-    if trend_checked:
-        trend = transmission_trend(grid, column_values["T"])
+    trend = sweep.trend
+    if trend is not None:
         metadata["trend_claim"] = "transmission_vanishes_at_large_r_minus"
         metadata["trend_slope"] = _f17(trend.fitted_slope)
         metadata["trend_decayed"] = "true" if trend.decayed else "false"
@@ -246,22 +230,15 @@ def cmd_sweep(args) -> int:
                 f"slope={_f17(disc.fitted_slope)};"
                 f"envelope_first={_f17(disc.envelope_first)};"
                 f"envelope_last={_f17(disc.envelope_last)}")
-            check_failed = True
 
     _write_text(args.out, _csv_document(metadata, COEFFS_HEADER, rows))
-    if args.plot is not None:
-        series = column_values[args.plot_column]
-        if any(math.isnan(v) for v in series):
-            raise UsageError(f"column {args.plot_column} is undefined for "
-                             "this sweep")
-        svg = render_line_plot(
+    if series is not None:
+        _write_text(args.plot, render_line_plot(
             list(zip(grid, series)), x_label=args.param,
             y_label=args.plot_column,
             title=f"{args.plot_column} vs {args.param}",
-            log_x=args.log, metadata=metadata)
-        with open(args.plot, "w", newline="") as fh:
-            fh.write(svg)
-    if check_failed:
+            log_x=args.log, metadata=metadata))
+    if trend is not None and trend.discrepancy is not None:
         print("sweep: expected-trend check failed "
               "(transmission does not vanish); see metadata",
               file=sys.stderr)
@@ -310,6 +287,9 @@ def cmd_residual(args) -> int:
     params = _params_from_args(args)
     if args.p is None or args.p <= 0.0:
         raise UsageError("residual needs --p > 0")
+    if not (math.isfinite(args.tol) and args.tol > 0.0
+            and math.isfinite(args.h)):
+        raise UsageError("residual needs a finite --tol > 0 and a finite --h")
     if args.configs is not None:
         samples = _read_configs(args.configs)
     else:
@@ -419,7 +399,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--out", type=str, default=None)
     p_sweep.add_argument("--plot", type=str, default=None)
     p_sweep.add_argument("--plot-column", dest="plot_column",
-                         choices=["R", "T", "deriv_mismatch"], default="T")
+                         choices=list(PLOT_COLUMNS), default="T")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_res = subs.add_parser("residual", help="finite-difference eigen check")

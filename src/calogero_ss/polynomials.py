@@ -159,26 +159,6 @@ def _check_caps(n_vars: int, degree: int, max_vars: int, max_degree: int):
             f"({max_vars}, {max_degree})")
 
 
-def _independent_subset(vectors: list[dict[Monomial, Fraction]]
-                        ) -> list[int]:
-    """Indices of a maximal linearly independent subset (exact elimination)."""
-    pivots: list[tuple[Monomial, dict[Monomial, Fraction]]] = []
-    kept: list[int] = []
-    for idx, vec in enumerate(vectors):
-        cur = dict(vec)
-        for pm, pv in pivots:
-            if pm in cur:
-                factor = cur[pm] / pv[pm]
-                for m, c in pv.items():
-                    cur[m] = cur.get(m, Fraction(0)) - factor * c
-                cur = {m: c for m, c in cur.items() if c != 0}
-        if cur:
-            lead = max(cur, key=partition_order_key)
-            pivots.append((lead, cur))
-            kept.append(idx)
-    return kept
-
-
 def ti_symmetric_basis(n_vars: int, degree: int, *,
                        max_vars: int = DEFAULT_MAX_VARS,
                        max_degree: int = DEFAULT_MAX_DEGREE
@@ -186,13 +166,18 @@ def ti_symmetric_basis(n_vars: int, degree: int, *,
     """Basis of symmetric homogeneous degree-k polynomials in y = x - mean.
 
     Spanning set: one power-sum product per partition of the degree into
-    parts >= 2, reduced to linear independence by exact elimination.
+    parts >= 2, reduced to linear independence by exact elimination: the
+    pivot columns of the RREF keep each product not spanned by those
+    before it.
     """
     _check_caps(n_vars, degree, max_vars, max_degree)
     candidates = [SymPolynomial(n_vars, degree, {partition: Fraction(1)})
                   for partition in _partitions_min2(degree)]
-    kept = _independent_subset([c.coefficients for c in candidates])
-    return [candidates[i] for i in kept]
+    forms = [c.coefficients for c in candidates]
+    keys = {m for form in forms for m in form}
+    matrix = [[form.get(m, Fraction(0)) for form in forms] for m in keys]
+    _, pivot_cols = _rref(matrix, len(candidates))
+    return [candidates[i] for i in pivot_cols]
 
 
 def _laplace_image(poly: SymPolynomial, lam: Fraction
@@ -234,8 +219,9 @@ def _as_fraction(lam) -> Fraction:
     raise DomainError(f"cannot interpret lambda {lam!r} as a rational")
 
 
-def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact right-nullspace basis via RREF (columns = unknowns)."""
+def _rref(matrix: list[list[Fraction]], ncols: int
+          ) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact reduced row echelon form: its nonzero rows and pivot columns."""
     rows = [row[:] for row in matrix if any(c != 0 for c in row)]
     pivot_cols: list[int] = []
     r = 0
@@ -254,6 +240,12 @@ def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
         r += 1
         if r == len(rows):
             break
+    return rows, pivot_cols
+
+
+def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Exact right-nullspace basis via RREF (columns = unknowns)."""
+    rows, pivot_cols = _rref(matrix, ncols)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for free in free_cols:

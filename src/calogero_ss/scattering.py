@@ -26,7 +26,8 @@ from .errors import (DegenerateEnvelopeError, DomainError,
 from .model import CouplingParams, radial_indices
 from .specialfn import bessel_eval
 from .wavefunction import (MomentumSet, SuperpositionCoeffs, _channels,
-                           ground_state, radial_coordinate)
+                           ground_state, radial_coordinate,
+                           reference_momentum_set)
 
 DIVERGENT_TOL = 1e-12
 
@@ -314,9 +315,9 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
 
 
 def _ray_profile(params: CouplingParams, pset: MomentumSet,
-                 coeffs: SuperpositionCoeffs,
-                 direction: Sequence[float]):
-    """Closed-form (F(r), F'(r)), S(r) and S'(r) along a configuration ray.
+                 coeffs: SuperpositionCoeffs, direction: Sequence[float],
+                 r: float) -> tuple[complex, complex, complex, complex]:
+    """Closed-form F(r), F'(r), S(r) and S'(r) along a configuration ray.
 
     Along x = (r / r_hat) * x_hat every polynomial factor is homogeneous,
     so the profile collapses to r-powers times Bessel factors:
@@ -339,24 +340,14 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
               * (1.0 if ch.poly is None else ch.poly(coords)) / r_hat ** ch.k)
              for ch in _channels(params, coeffs.entries)]
     power = g_exp - b0
-
-    def f_pair(r: float) -> tuple[complex, complex]:
-        evs = [(c, bessel_eval(b0 + k, pset.p * r)) for k, c in terms]
-        total = lsum(c * ev.value for c, ev in evs)
-        total_d = lsum(c * pset.p * ev.derivative for c, ev in evs)
-        return (j0 * r ** power * total,
-                j0 * (power * r ** (power - 1.0) * total
-                      + r ** power * total_d))
-
+    evs = [(c, bessel_eval(b0 + k, pset.p * r)) for k, c in terms]
+    total = lsum(c * ev.value for c, ev in evs)
+    total_d = lsum(c * pset.p * ev.derivative for c, ev in evs)
     envelope_const = lsum(c for _, c in terms) * j0 / math.sqrt(2.0 * math.pi)
-
-    def s_value(r: float) -> complex:
-        return envelope_const * r ** (power - 0.5)
-
-    def s_derivative(r: float) -> complex:
-        return envelope_const * (power - 0.5) * r ** (power - 1.5)
-
-    return f_pair, s_value, s_derivative
+    return (j0 * r ** power * total,
+            j0 * (power * r ** (power - 1.0) * total + r ** power * total_d),
+            envelope_const * r ** (power - 0.5),
+            envelope_const * (power - 0.5) * r ** (power - 1.5))
 
 
 def match_n_body(params: CouplingParams, pset: MomentumSet,
@@ -375,9 +366,8 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
     if direction is None:
         n = params.n_particles
         direction = tuple((n - 1) / 2.0 - j for j in range(n))
-    f_pair, s, sd = _ray_profile(params, pset, coeffs, direction)
-    f_v, fd_v = f_pair(r_minus)
-    s_v, sd_v = s(r_minus), sd(r_minus)
+    f_v, fd_v, s_v, sd_v = _ray_profile(params, pset, coeffs, direction,
+                                        r_minus)
     if abs(s_v) < 1e-300:
         raise DegenerateEnvelopeError(
             f"matching envelope vanishes at r_- = {r_minus}")
@@ -391,6 +381,25 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
     return ScatteringMatch(r_minus=r_minus, r_plus=None, a=a, b=b, d=None,
                            reflection=_squared_ratio(b, a, p, r_minus),
                            transmission=None, derivative_mismatch=None)
+
+
+def match_at(params: CouplingParams, p: float, r_minus: float,
+             r_plus: float, k: int = 0) -> ScatteringMatch:
+    """The matching policy of a sweep point, for every N.
+
+    N = 2 takes the two-body matcher (k is not used).  Above it the
+    envelope matcher runs on the (0, 1) + 0.6 (k, 1) superposition
+    ((0, 1) alone for k = 0) at the reference momenta of magnitude p;
+    r_plus is not used.
+    """
+    if params.n_particles == 2:
+        return match_two_body(params, p, r_minus, r_plus)
+    entries = {(0, 1): 1.0 + 0j}
+    if k:
+        entries[(k, 1)] = 0.6 + 0j
+    coeffs = SuperpositionCoeffs.for_params(params, entries)
+    pset = reference_momentum_set(params.n_particles, p)
+    return match_n_body(params, pset, coeffs, r_minus)
 
 
 # --- transfer matrix ----------------------------------------------------------
@@ -467,8 +476,9 @@ class TrendSummary:
 
 @dataclass(frozen=True)
 class TransmissionSweep:
+    """(swept value, match) rows; trend is None unless it was checked."""
     rows: tuple[tuple[float, ScatteringMatch], ...]
-    trend: TrendSummary
+    trend: TrendSummary | None
 
 
 def check_r_minus_grid(r_minus_values: Sequence[float]) -> None:
@@ -485,6 +495,9 @@ def transmission_trend(r_minus_values: Sequence[float],
     """Upper-envelope trend check of the decay claim over T(r_-)."""
     values = list(r_minus_values)
     check_r_minus_grid(values)
+    if len(transmissions) != len(values):
+        raise DomainError(f"{len(values)} r_minus values but "
+                          f"{len(transmissions)} transmissions")
     # upper envelope of the tail: max of T over j >= i
     env = []
     running = 0.0
@@ -508,16 +521,30 @@ def transmission_trend(r_minus_values: Sequence[float],
     return TrendSummary(slope, first, last, decayed, discrepancy)
 
 
-def transmission_sweep(params: CouplingParams, p: float,
-                       r_minus_values: Sequence[float],
-                       r_plus: float) -> TransmissionSweep:
-    """T(r_-) rows plus the trend check of the decay claim."""
-    check_r_minus_grid(r_minus_values)
-    rows = tuple((rm, match_two_body(params, p, rm, r_plus))
-                 for rm in r_minus_values)
-    return TransmissionSweep(
-        rows=rows, trend=transmission_trend(
-            [rm for rm, _ in rows], [m.transmission for _, m in rows]))
+def transmission_sweep(params: CouplingParams, param: str,
+                       values: Sequence[float], *, p: float = 1.0,
+                       r_minus: float = 50.0, r_plus: float = 5.0,
+                       k: int = 0) -> TransmissionSweep:
+    """match_at over values of param ("p", "r_minus" or "r_plus").
+
+    The other two stay at their given values.  An N = 2 r_- sweep also
+    runs the trend check of the decay claim, with the grid checked
+    before any matching; every other sweep has trend None.
+    """
+    fixed = {"p": p, "r_minus": r_minus, "r_plus": r_plus}
+    if param not in fixed:
+        raise DomainError(f"cannot sweep {param!r}; choose one of "
+                          + ", ".join(fixed))
+    trend_checked = param == "r_minus" and params.n_particles == 2
+    if trend_checked:
+        check_r_minus_grid(values)
+    rows = tuple((v, match_at(params, k=k, **{**fixed, param: v}))
+                 for v in values)
+    trend = None
+    if trend_checked:
+        trend = transmission_trend([v for v, _ in rows],
+                                   [m.transmission for _, m in rows])
+    return TransmissionSweep(rows=rows, trend=trend)
 
 
 def _lsq_slope(points: Sequence[tuple[float, float]]) -> float:

@@ -34,45 +34,10 @@ from .model import (CouplingParams, hamiltonian_terms, radial_indices,
 from .polynomials import SymPolynomial, float_evaluator
 from .specialfn import asymptotic_threshold, bessel_j
 
-DEFAULT_MIN_GAP = 1e-9
 NEAR_NODE_GUARD = 1e-8
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Ordered-sector configuration with a coincidence clearance floor."""
-    coords: tuple[float, ...]
-    min_gap: float = DEFAULT_MIN_GAP
-
-    def __post_init__(self):
-        if len(self.coords) < 2:
-            raise DomainError("need at least two coordinates")
-        if self.min_gap <= 0.0:
-            raise DomainError("min_gap must be > 0")
-        gaps = [self.coords[j] - self.coords[j + 1]
-                for j in range(len(self.coords) - 1)]
-        if any(g < 0 for g in gaps):
-            raise DomainError("coordinates must be ordered descending "
-                              "(x_1 >= ... >= x_N)")
-        if min(gaps) < self.min_gap:
-            raise SingularConfigurationError(
-                f"adjacent gap {min(gaps):.3e} below min_gap {self.min_gap:.3e}")
-
-    @classmethod
-    def from_unordered(cls, coords: Sequence[float],
-                       min_gap: float = DEFAULT_MIN_GAP) -> "Configuration":
-        """Canonicalize an unordered tuple by descending sort."""
-        ordered = tuple(sorted((float(c) for c in coords), reverse=True))
-        return cls(ordered, min_gap)
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-
 def _coords_of(x) -> tuple[float, ...]:
-    if isinstance(x, Configuration):
-        return x.coords
     return tuple(map(float, x))
 
 
@@ -81,10 +46,9 @@ SUM_ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MomentumSet:
-    """Sorted sum-zero individual momenta with radial/angular split."""
+    """Sorted sum-zero individual momenta and their radial magnitude p."""
     momenta: tuple[float, ...]
     p: float
-    alphas: tuple[float, ...]
 
     @classmethod
     def from_momenta(cls, momenta: Sequence[float]) -> "MomentumSet":
@@ -100,8 +64,7 @@ class MomentumSet:
         if not math.isfinite(p):  # any nan or inf momentum lands here
             raise DomainError("momenta and their magnitude must be finite, "
                               f"got p = {p}")
-        alphas = tuple(v / p for v in ms) if p > 0 else tuple(0.0 for _ in ms)
-        return cls(ms, p, alphas)
+        return cls(ms, p)
 
     @property
     def n(self) -> int:

@@ -253,7 +253,7 @@ def _extended_precision_match(nu_prime, delta, p, r_minus, r_plus):
 def test_criterion_11_transmission_diagnostic(tmp_path, capsys):
     params = CouplingParams.from_exponent(2, 1.0, 0.5)
     grid = [10.0, 100.0, 1000.0, 10000.0]
-    sweep = transmission_sweep(params, 1.0, grid, 5.0)
+    sweep = transmission_sweep(params, "r_minus", grid, p=1.0, r_plus=5.0)
     for (rm, m) in sweep.rows:
         r_ref, t_ref = _extended_precision_match(1.0, 0.5, 1.0, rm, 5.0)
         assert abs(m.transmission - t_ref) <= 1e-8 * max(t_ref, 1e-300), rm

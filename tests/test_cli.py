@@ -250,7 +250,6 @@ class TestSweep:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "match_two_body", counted)
         monkeypatch.setattr(scattering, "match_two_body", counted)
         code, _, _ = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
                          "--delta", "0.5", "--param", "r-minus",
@@ -269,7 +268,6 @@ class TestSweep:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "match_two_body", counted)
         monkeypatch.setattr(scattering, "match_two_body", counted)
         code, _, err = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
                            "--delta", "0.5", "--param", "r-minus",
@@ -322,6 +320,20 @@ class TestSweep:
         assert text.splitlines()[1].startswith("<svg")
         assert text.count("<polyline") == 1
         assert "<!--" in text and "trend_claim" in text
+
+    @pytest.mark.parametrize("column", ["T", "deriv_mismatch"])
+    def test_undefined_plot_column_writes_nothing(self, capsys, tmp_path,
+                                                  column):
+        csv, svg = tmp_path / "s.csv", tmp_path / "f.svg"
+        code, out, err = run(capsys, "sweep", "--n", "3", "--nu-prime", "1",
+                             "--delta", "0.5", "--param", "r-minus",
+                             "--from", "10", "--to", "20", "--steps", "2",
+                             "--out", str(csv), "--plot", str(svg),
+                             "--plot-column", column)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"usage error: column {column} is undefined for "
+                       "this sweep\n")
+        assert not csv.exists() and not svg.exists()
 
     def test_svg_deterministic(self, capsys, tmp_path):
         files = []
@@ -382,6 +394,29 @@ class TestResidual:
                            "--h", "1e-3", "--tol", "1e-12")
         assert code == EXIT_CHECK_FAILED
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("option,value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+        ("--tol", "-1e-6"), ("--h", "nan"), ("--h", "-inf")])
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    def test_bad_tol_or_h_rejected(self, capsys, tmp_path, monkeypatch,
+                                   option, value, via_config):
+        def never(*args):
+            raise AssertionError("state built")
+        monkeypatch.setattr(cli, "make_scattering_state", never)
+        argv = ["residual", "--n", "2", "--nu-prime", "1", "--delta", "0",
+                "--p", "1"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option[2:]: value}))
+            argv = ["--config", str(cfg)] + argv
+        else:
+            argv.append(f"{option}={value}")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("usage error: residual needs a finite --tol > 0 and "
+                       "a finite --h\n")
 
     def test_configs_file(self, capsys, tmp_path):
         cfg = tmp_path / "configs.json"

@@ -348,13 +348,12 @@ class TestNBodyMatch:
         coeffs = SuperpositionCoeffs.for_params(params, entries)
         direction = tuple((n - 1) / 2.0 - j + 0.1 * j * j for j in range(n))
         direction = tuple(sorted(direction, reverse=True))
-        f_pair, _, _ = _ray_profile(params, pset, coeffs, direction)
         psi = make_general_state(params, pset, coeffs)
         r_hat = radial_coordinate(direction)
         scale = pset.p ** radial_indices(params, 0).n_prime
         for r in (0.7, 3.0, 11.5, 40.0):
             expected = psi(tuple(r * c / r_hat for c in direction))
-            got = f_pair(r)[0] * scale
+            got = _ray_profile(params, pset, coeffs, direction, r)[0] * scale
             assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
@@ -450,13 +449,14 @@ class TestTransmissionSweep:
     def test_deterministic(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
         grid = [10.0, 100.0, 1000.0, 10000.0]
-        s1 = transmission_sweep(params, 1.0, grid, 5.0)
-        s2 = transmission_sweep(params, 1.0, grid, 5.0)
+        s1 = transmission_sweep(params, "r_minus", grid, p=1.0, r_plus=5.0)
+        s2 = transmission_sweep(params, "r_minus", grid, p=1.0, r_plus=5.0)
         assert s1 == s2
 
     def test_rows_match_single_calls(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
-        sweep = transmission_sweep(params, 1.0, [10.0, 100.0], 5.0)
+        sweep = transmission_sweep(params, "r_minus", [10.0, 100.0],
+                                   p=1.0, r_plus=5.0)
         for rm, match in sweep.rows:
             again = match_two_body(params, 1.0, rm, 5.0)
             assert match.transmission == again.transmission
@@ -466,8 +466,9 @@ class TestTransmissionSweep:
         # at fixed r_+ the transmission oscillates about a constant, so the
         # decay claim fails and must be recorded, never silently passed
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
-        sweep = transmission_sweep(params, 1.0,
-                                   [10.0, 100.0, 1000.0, 10000.0], 5.0)
+        sweep = transmission_sweep(params, "r_minus",
+                                   [10.0, 100.0, 1000.0, 10000.0],
+                                   p=1.0, r_plus=5.0)
         assert not sweep.trend.decayed
         assert isinstance(sweep.trend.discrepancy, TrendDiscrepancy)
         assert sweep.trend.discrepancy.claim == \
@@ -476,11 +477,35 @@ class TestTransmissionSweep:
     def test_increasing_required(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
         with pytest.raises(DomainError):
-            transmission_sweep(params, 1.0, [100.0, 10.0], 5.0)
+            transmission_sweep(params, "r_minus", [100.0, 10.0],
+                               p=1.0, r_plus=5.0)
 
     def test_empty_grid_rejected(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
         with pytest.raises(DomainError):
             transmission_trend([], [])
         with pytest.raises(DomainError):
-            transmission_sweep(params, 1.0, [], 5.0)
+            transmission_sweep(params, "r_minus", [], p=1.0, r_plus=5.0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="3 r_minus values but 1"):
+            transmission_trend([10.0, 100.0, 1000.0], [1.0])
+
+    def test_unknown_parameter_rejected(self):
+        params = CouplingParams.from_exponent(2, 1.0, 0.5)
+        with pytest.raises(DomainError, match="cannot sweep"):
+            transmission_sweep(params, "r-minus", [10.0])
+
+    def test_trend_only_for_two_body_r_minus(self):
+        two = CouplingParams.from_exponent(2, 1.0, 0.5)
+        assert transmission_sweep(two, "p", [0.5, 1.0],
+                                  r_minus=30.0).trend is None
+        # no trend check, so a decreasing grid is fine at N = 3
+        three = CouplingParams.from_exponent(3, 1.0, 0.5)
+        sweep = transmission_sweep(three, "r_minus", [80.0, 40.0], k=3)
+        assert sweep.trend is None
+        pset = reference_momentum_set(3, 1.0)
+        coeffs = SuperpositionCoeffs.for_params(three, {(0, 1): 1.0,
+                                                        (3, 1): 0.6})
+        for rm, m in sweep.rows:
+            assert m == match_n_body(three, pset, coeffs, rm)

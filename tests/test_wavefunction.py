@@ -13,8 +13,7 @@ from calogero_ss.model import (HAMILTONIAN_TERMS, CouplingParams,
 from calogero_ss.polynomials import evaluate_poly
 from calogero_ss.scattering import _forward_wave, _reversed_wave
 from calogero_ss.specialfn import bessel_j
-from calogero_ss.wavefunction import (Configuration, MomentumSet,
-                                      SuperpositionCoeffs,
+from calogero_ss.wavefunction import (MomentumSet, SuperpositionCoeffs,
                                       apply_hamiltonian_fd, asymptotic_wave,
                                       eigen_residual, ground_state,
                                       laplace_solutions, make_general_state,
@@ -24,25 +23,10 @@ from calogero_ss.wavefunction import (Configuration, MomentumSet,
                                       residual_convergence, state_energy)
 
 
-class TestConfiguration:
-    def test_ordering_required(self):
-        with pytest.raises(DomainError):
-            Configuration((0.0, 1.0))
-
-    def test_gap_floor(self):
-        with pytest.raises(SingularConfigurationError):
-            Configuration((1.0, 1.0 - 1e-12), min_gap=1e-9)
-
-    def test_from_unordered_canonical(self):
-        c = Configuration.from_unordered([0.0, 2.0, -1.0])
-        assert c.coords == (2.0, 0.0, -1.0)
-
-
 class TestMomentumSet:
     def test_basic(self):
         ms = MomentumSet.from_momenta((-1.0, 0.0, 1.0))
         assert ms.p == pytest.approx(math.sqrt(2.0))
-        assert sum(a * a for a in ms.alphas) == pytest.approx(1.0)
         assert ms.reversed_momenta() == (1.0, 0.0, -1.0)
 
     def test_sorted_required(self):
@@ -64,7 +48,6 @@ class TestMomentumSet:
     def test_zero_momenta_allowed(self):
         ms = MomentumSet.from_momenta((0.0, 0.0, 0.0))
         assert ms.p == 0.0
-        assert ms.alphas == (0.0, 0.0, 0.0)
 
 
 class TestGeometry:
