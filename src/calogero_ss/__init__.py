@@ -20,18 +20,16 @@ from .polynomials import (LaplaceSystem, SymPolynomial, degeneracy,
                           evaluate_poly, generic_degeneracy,
                           solve_generalized_laplace, ti_symmetric_basis)
 from .scattering import (JostPair, ScanSummary, ScatteringMatch,
-                         TransferData, TransmissionSweep, TrendDiscrepancy,
-                         WronskianReport, match_n_body, match_two_body,
+                         TransmissionSweep, TrendDiscrepancy, WronskianReport,
+                         m22_status, match_n_body, match_two_body,
                          momentum_sampler, pair_factors, sample_momenta,
-                         ss_scan, transfer_matrix, transmission_sweep,
-                         transmission_trend, wronskian,
-                         wronskian_product_form, wronskian_report)
+                         ss_scan, transmission_sweep, transmission_trend,
+                         wronskian, wronskian_product_form, wronskian_report)
 from .specialfn import BesselEval, bessel_eval, bessel_j, bessel_j_prime
-from .wavefunction import (MomentumSet, SuperpositionCoeffs,
-                           apply_hamiltonian_fd, asymptotic_wave,
-                           eigen_residual, ground_state, make_general_state,
-                           make_scattering_state, radial_coordinate,
-                           radial_solution, reference_momentum_set,
-                           state_energy)
+from .wavefunction import (MomentumSet, apply_hamiltonian_fd,
+                           asymptotic_wave, eigen_residual, ground_state,
+                           make_general_state, make_scattering_state,
+                           radial_coordinate, radial_solution,
+                           reference_momentum_set, state_energy)
 
 __version__ = "0.1.0"

@@ -124,7 +124,7 @@ def cmd_nu_prime(args) -> int:
 def cmd_scan(args) -> int:
     params = CouplingParams.from_exponent(args.n, args.nu_prime, args.delta)
     sampler = momentum_sampler(args.n, args.p_min, args.p_max, args.seed)
-    summary = ss_scan(args.n, sampler, args.samples, params=params)
+    summary = ss_scan(params, sampler, args.samples)
     rows = []
     for idx, rep in enumerate(summary.reports):
         # min_w_magnitude is |M22| times the pairing factor, with M22 = 1
@@ -169,13 +169,12 @@ def cmd_coeffs(args) -> int:
     metadata.update({"n": str(args.n), "p": _f17(args.p),
                      "r_minus": _f17(args.r_minus),
                      "r_plus": _f17(args.r_plus), "k": str(args.k)})
-    if params.n_particles == 2:
+    m = match_at(params, args.p, args.r_minus, args.r_plus, k=args.k)
+    if m.d is not None:
         readings = transmitted_coefficient_readings(params, args.p,
                                                     args.r_plus)
         for name, val in readings.items():
             metadata[f"alt_d_{name}"] = _f17(abs(val))
-    m = match_at(params, args.p, args.r_minus, args.r_plus, k=args.k)
-    if m.d is not None:
         metadata["alt_d_value_matched"] = _f17(abs(m.d))
     _write_text(args.out, _csv_document(metadata, COEFFS_HEADER,
                                         [_coeffs_row(args.p, m)]))
@@ -183,6 +182,8 @@ def cmd_coeffs(args) -> int:
 
 
 def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError("--from and --to must be finite")
     if steps < 1:
         raise UsageError("--steps must be >= 1")
     if steps == 1:

@@ -18,16 +18,15 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._sums import lsum
 from .errors import (DegenerateEnvelopeError, DomainError,
                      NumericalFailureError)
 from .model import CouplingParams, radial_indices
 from .specialfn import bessel_eval
-from .wavefunction import (MomentumSet, SuperpositionCoeffs, _channels,
-                           ground_state, radial_coordinate,
-                           reference_momentum_set)
+from .wavefunction import (MomentumSet, _channels, ground_state,
+                           radial_coordinate, reference_momentum_set)
 
 DIVERGENT_TOL = 1e-12
 
@@ -188,19 +187,15 @@ class ScanSummary:
     ss_count: int
 
 
-def ss_scan(n: int, sampler: Callable[[], MomentumSet], n_samples: int,
-            params: CouplingParams | None = None) -> ScanSummary:
+def ss_scan(params: CouplingParams, sampler: Callable[[], MomentumSet],
+            n_samples: int) -> ScanSummary:
     """Seeded nonexistence sweep; one report per sample, in sample order."""
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
-    if params is None:
-        params = CouplingParams.from_exponent(n, 1.0, 0.5)
-    if params.n_particles != n:
-        raise DomainError("params particle count must match n")
     status = transfer_status(params)
     psets = [sampler() for _ in range(n_samples)]
     for ps in psets:
-        if ps.n != n:
+        if ps.n != params.n_particles:
             raise DomainError("sampler produced wrong particle count")
     reports = tuple(wronskian_report(ps, status) for ps in psets)
     return ScanSummary(reports=reports,
@@ -315,7 +310,8 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
 
 
 def _ray_profile(params: CouplingParams, pset: MomentumSet,
-                 coeffs: SuperpositionCoeffs, direction: Sequence[float],
+                 entries: Mapping[tuple[int, int], complex],
+                 direction: Sequence[float],
                  r: float) -> tuple[complex, complex, complex, complex]:
     """Closed-form F(r), F'(r), S(r) and S'(r) along a configuration ray.
 
@@ -338,7 +334,7 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
     # order b0 + k, not the channel's b'_k: the two floats can differ
     terms = [(ch.k, complex(ch.coeff)
               * (1.0 if ch.poly is None else ch.poly(coords)) / r_hat ** ch.k)
-             for ch in _channels(params, coeffs.entries)]
+             for ch in _channels(params, entries)]
     power = g_exp - b0
     evs = [(c, bessel_eval(b0 + k, pset.p * r)) for k, c in terms]
     total = lsum(c * ev.value for c, ev in evs)
@@ -351,7 +347,7 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
 
 
 def match_n_body(params: CouplingParams, pset: MomentumSet,
-                 coeffs: SuperpositionCoeffs, r_minus: float,
+                 entries: Mapping[tuple[int, int], complex], r_minus: float,
                  direction: Sequence[float] | None = None) -> ScatteringMatch:
     """Value+derivative continuity of the envelope form at r_-.
 
@@ -366,7 +362,7 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
     if direction is None:
         n = params.n_particles
         direction = tuple((n - 1) / 2.0 - j for j in range(n))
-    f_v, fd_v, s_v, sd_v = _ray_profile(params, pset, coeffs, direction,
+    f_v, fd_v, s_v, sd_v = _ray_profile(params, pset, entries, direction,
                                         r_minus)
     if abs(s_v) < 1e-300:
         raise DegenerateEnvelopeError(
@@ -387,68 +383,46 @@ def match_at(params: CouplingParams, p: float, r_minus: float,
              r_plus: float, k: int = 0) -> ScatteringMatch:
     """The matching policy of a sweep point, for every N.
 
-    N = 2 takes the two-body matcher (k is not used).  Above it the
-    envelope matcher runs on the (0, 1) + 0.6 (k, 1) superposition
-    ((0, 1) alone for k = 0) at the reference momenta of magnitude p;
-    r_plus is not used.
+    N = 2 takes the two-body matcher, which is the k = 0 channel; any
+    other k is a DomainError.  Above it the envelope matcher runs on the
+    (0, 1) + 0.6 (k, 1) superposition ((0, 1) alone for k = 0) at the
+    reference momenta of magnitude p; r_plus is not used.
     """
     if params.n_particles == 2:
+        if k != 0:
+            raise DomainError(f"k={k} at N = 2: the two-body matcher is "
+                              "the k = 0 channel")
         return match_two_body(params, p, r_minus, r_plus)
     entries = {(0, 1): 1.0 + 0j}
     if k:
         entries[(k, 1)] = 0.6 + 0j
-    coeffs = SuperpositionCoeffs.for_params(params, entries)
     pset = reference_momentum_set(params.n_particles, p)
-    return match_n_body(params, pset, coeffs, r_minus)
+    return match_n_body(params, pset, entries, r_minus)
 
 
-# --- transfer matrix ----------------------------------------------------------
+# --- M22 status ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransferData:
-    """Transfer-matrix view of a two-body match.
-
-    inv_m22 (the transmission amplitude d/a) is the stored primary
-    quantity, always finite here; the matrix itself uses the
-    symmetric-barrier completion, which fixes det m = 1.
-    """
-    m: tuple[tuple[complex, complex], tuple[complex, complex]]
-    det_m: complex
-    inv_m22: complex
-    m22_status: str
-
-
-def transfer_matrix(match: ScatteringMatch) -> TransferData:
+def m22_status(match: ScatteringMatch) -> str:
+    """M22 of a two-body match: Divergent where the transmission amplitude
+    d/a = 1/M22 is below DIVERGENT_TOL in magnitude, else Finite-Nonzero."""
     if match.d is None:
-        raise DomainError("transfer matrix needs a two-body match")
+        raise DomainError("M22 needs a two-body match")
     if match.a == 0:
         raise NumericalFailureError(
-            f"incoming amplitude is 0 at r_-={match.r_minus}: "
-            "transfer matrix undefined")
-    t = match.d / match.a
-    rho = match.b / match.a
-    if abs(t) < DIVERGENT_TOL:
-        m = ((complex(math.inf, 0.0), complex(math.inf, 0.0)),
-             (complex(math.inf, 0.0), complex(math.inf, 0.0)))
-        det = 1.0 + 0j  # limit of the completion below
-        status = M22_DIVERGENT
-    else:
-        m = ((t - rho * rho / t, rho / t), (-rho / t, 1.0 / t))
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        status = M22_FINITE_NONZERO
-    return TransferData(m=m, det_m=det, inv_m22=t, m22_status=status)
+            f"incoming amplitude is 0 at r_-={match.r_minus}: M22 undefined")
+    if abs(match.d / match.a) < DIVERGENT_TOL:
+        return M22_DIVERGENT
+    return M22_FINITE_NONZERO
 
 
-def transfer_status(params: CouplingParams, p: float = 1.0,
-                    r_minus: float = 50.0, r_plus: float = 5.0) -> str:
+def transfer_status(params: CouplingParams) -> str:
     """Representative M22 classification at matched radial couplings.
 
     The scan only reports it; a two-body match at the same exponent and
-    deformation stands in for any N.
+    deformation, at p = 1, r_- = 50 and r_+ = 5, stands in for any N.
     """
     two_body = CouplingParams.from_exponent(2, params.nu_prime, params.delta)
-    return transfer_matrix(match_two_body(two_body, p, r_minus,
-                                          r_plus)).m22_status
+    return m22_status(match_two_body(two_body, 1.0, 50.0, 5.0))
 
 
 # --- transmission trend --------------------------------------------------------

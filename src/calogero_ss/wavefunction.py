@@ -86,28 +86,6 @@ def reference_momentum_set(n: int, p: float) -> MomentumSet:
     return MomentumSet.from_momenta(tuple(b * p / norm for b in base))
 
 
-@dataclass(frozen=True)
-class SuperpositionCoeffs:
-    """Angular coefficients of a degenerate superposition.
-
-    entries maps (degree k, solution index q >= 1) to the angular
-    coefficient; the full coefficient is p**scaling_exponent times it.
-    """
-    entries: Mapping[tuple[int, int], complex]
-    scaling_exponent: float
-
-    @classmethod
-    def for_params(cls, params: CouplingParams,
-                   entries: Mapping[tuple[int, int], complex]
-                   ) -> "SuperpositionCoeffs":
-        n_prime = radial_indices(params, 0).n_prime
-        return cls(dict(entries), n_prime)
-
-    def reconstruct(self, p: float) -> dict[tuple[int, int], complex]:
-        scale = p ** self.scaling_exponent
-        return {kq: scale * c for kq, c in self.entries.items()}
-
-
 # --- geometry ----------------------------------------------------------------
 
 def radial_coordinate(x) -> float:
@@ -210,13 +188,17 @@ def make_scattering_state(params: CouplingParams, pset: MomentumSet,
 
 
 def make_general_state(params: CouplingParams, pset: MomentumSet,
-                       coeffs: SuperpositionCoeffs
+                       entries: Mapping[tuple[int, int], complex]
                        ) -> Callable[[tuple], complex]:
-    """Callable psi(coords) for a superposition, coefficients p^n' * Ct."""
+    """Callable psi(coords) for the superposition {(k, q): Ct}.
+
+    The full coefficients are p^n' * Ct, with n' the k = 0 index.
+    """
     if pset.p <= 0.0:
         raise DomainError("scattering states need p > 0")
-    return _state_evaluator(params, pset.p,
-                            _channels(params, coeffs.reconstruct(pset.p)))
+    scale = pset.p ** radial_indices(params, 0).n_prime
+    return _state_evaluator(params, pset.p, _channels(
+        params, {kq: scale * c for kq, c in entries.items()}))
 
 
 def _state_evaluator(params: CouplingParams, p: float,
@@ -250,7 +232,8 @@ def _state_evaluator(params: CouplingParams, p: float,
     return psi
 
 
-def asymptotic_wave(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
+def asymptotic_wave(x, pset: MomentumSet,
+                    entries: Mapping[tuple[int, int], complex],
                     params: CouplingParams, sign: int,
                     max_rel_error: float = 1e-3) -> complex:
     """Incoming (+) / outgoing (-) large-r wave of the superposition.
@@ -269,7 +252,7 @@ def asymptotic_wave(x, pset: MomentumSet, coeffs: SuperpositionCoeffs,
     coords = _coords_of(x)
     r = radial_coordinate(coords)
     pr = pset.p * r
-    channels = _channels(params, coeffs.entries)
+    channels = _channels(params, entries)
     for ch in channels:
         thr = asymptotic_threshold(ch.b_prime, max_rel_error)
         if pr < thr:

@@ -22,9 +22,8 @@ from calogero_ss.scattering import (JostPair, match_n_body, match_two_body,
                                     transmission_sweep, wronskian,
                                     wronskian_report)
 from calogero_ss.specialfn import _forward, _miller, bessel_j, switchover
-from calogero_ss.wavefunction import (MomentumSet, SuperpositionCoeffs,
-                                      eigen_residual, ground_state,
-                                      make_scattering_state,
+from calogero_ss.wavefunction import (MomentumSet, eigen_residual,
+                                      ground_state, make_scattering_state,
                                       residual_convergence, state_energy)
 
 
@@ -56,8 +55,7 @@ def test_criterion_02_reflection_n_body():
             entries = {(0, 1): 1.0 + 0j}
             if k:
                 entries[(k, 1)] = 0.6 + 0j
-            coeffs = SuperpositionCoeffs.for_params(params, entries)
-            m = match_n_body(params, symmetric_pset(n, 1.0), coeffs,
+            m = match_n_body(params, symmetric_pset(n, 1.0), entries,
                              r_minus=80.0)
             assert abs(m.reflection - 1.0) < 1e-9, (n, k, m.reflection)
     report("02 N-body reflection identity |R-1| < 1e-9")
@@ -65,8 +63,9 @@ def test_criterion_02_reflection_n_body():
 
 def test_criterion_03_ss_nonexistence_sweep():
     for n in (2, 3, 4):
-        summary = ss_scan(n, momentum_sampler(n, 0.01, 10.0, seed=2026),
-                          10_000)
+        params = CouplingParams.from_exponent(n, 1.0, 0.5)
+        summary = ss_scan(params,
+                          momentum_sampler(n, 0.01, 10.0, seed=2026), 10_000)
         assert summary.ss_count == 0, f"N={n}: singular verdicts found"
         assert summary.min_pair_factor > 0.0
     # the unique degenerate point: all momenta zero gives W = 0 exactly

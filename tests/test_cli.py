@@ -22,6 +22,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_matching(monkeypatch):
+    """Fails the test if any matcher or transmitted reading starts."""
+    def never(*args):
+        raise AssertionError("matching started")
+    monkeypatch.setattr(scattering, "bessel_eval", never)
+
+
 class TestNuPrime:
     def test_success_json(self, capsys):
         code, out, _ = run(capsys, "nu-prime", "--g", "2", "--delta", "0")
@@ -79,8 +87,8 @@ class TestScan:
         # the model admits no singular sample; force the reporting path
         real = cli.ss_scan
 
-        def fake(n, sampler, n_samples, params):
-            summary = real(n, sampler, n_samples, params=params)
+        def fake(params, sampler, n_samples):
+            summary = real(params, sampler, n_samples)
             reports = tuple(
                 r.__class__(pset=r.pset, pair_factors=r.pair_factors,
                             min_pair_factor=r.min_pair_factor,
@@ -169,6 +177,18 @@ class TestCoeffs:
         fields = lines[1].split(",")
         assert abs(float(fields[9]) - 1.0) < 1e-9
         assert fields[10] == "nan"  # T undefined for the envelope matcher
+
+    @pytest.mark.parametrize("k,nu_prime", [(4, "1"), (2, "0")])
+    def test_two_body_nonzero_k_rejected(self, capsys, no_matching, k,
+                                         nu_prime):
+        # degree 2 has a solution at (nu', delta) = (0, 1/2); the two-body
+        # matcher is still only the k = 0 channel
+        code, out, err = run(capsys, "coeffs", "--n", "2", "--p", "1",
+                             "--nu-prime", nu_prime, "--delta", "0.5",
+                             "--k", str(k))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"usage error: k={k} at N = 2: the two-body "
+                       "matcher is the k = 0 channel\n")
 
     def test_no_phi_use_nu_option(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
@@ -277,6 +297,35 @@ class TestSweep:
         assert err == ("usage error: r_minus values must be strictly "
                        "increasing\n")
         assert calls == []
+
+    def test_two_body_nonzero_k_writes_nothing(self, capsys, tmp_path,
+                                               no_matching):
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
+                             "--delta", "0.5", "--k", "4",
+                             "--param", "r-minus", "--from", "10",
+                             "--to", "1000", "--steps", "3",
+                             "--out", str(out_file))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "the two-body matcher is the k = 0 channel" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("n,param,bounds", [
+        ("2", "r-minus", ("10", "inf")),
+        ("2", "p", ("1", "nan")),
+        ("3", "r-plus", ("1", "inf")),
+        ("2", "r-minus", ("-inf", "10")),
+    ])
+    def test_non_finite_grid_bound_rejected(self, capsys, tmp_path,
+                                            no_matching, n, param, bounds):
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--n", n, "--nu-prime", "1",
+                             "--delta", "0.5", "--param", param,
+                             f"--from={bounds[0]}", f"--to={bounds[1]}",
+                             "--steps", "3", "--out", str(out_file))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: --from and --to must be finite\n"
+        assert not out_file.exists()
 
     def test_rows_match_coeffs(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"

@@ -13,18 +13,17 @@ from calogero_ss.errors import (DegenerateEnvelopeError, DomainError,
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     JostPair, ScanSummary, ScatteringMatch,
-                                    TrendDiscrepancy, _ray_profile,
+                                    TrendDiscrepancy, _ray_profile, match_at,
                                     match_n_body, match_two_body,
                                     momentum_sampler, pair_factors,
-                                    sample_momenta, ss_scan,
-                                    transfer_matrix, transfer_status,
-                                    transmission_sweep, transmission_trend,
+                                    m22_status, sample_momenta, ss_scan,
+                                    transfer_status, transmission_sweep,
+                                    transmission_trend,
                                     transmitted_coefficient_readings,
                                     wronskian, wronskian_product_form,
                                     wronskian_report)
-from calogero_ss.wavefunction import (MomentumSet, SuperpositionCoeffs,
-                                      laplace_solutions, make_general_state,
-                                      radial_coordinate,
+from calogero_ss.wavefunction import (MomentumSet, laplace_solutions,
+                                      make_general_state, radial_coordinate,
                                       reference_momentum_set)
 
 
@@ -129,7 +128,9 @@ class TestSampler:
 
 class TestScan:
     def test_no_verdicts_smoke(self):
-        summary = ss_scan(3, momentum_sampler(3, 0.01, 10.0, seed=11), 500)
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        summary = ss_scan(params, momentum_sampler(3, 0.01, 10.0, seed=11),
+                          500)
         assert isinstance(summary, ScanSummary)
         assert len(summary.reports) == 500
         assert summary.ss_count == 0
@@ -181,7 +182,8 @@ class TestScan:
         assert verdicts == 7  # exactly the all-zero sets
 
     def test_empty_scan(self):
-        summary = ss_scan(2, momentum_sampler(2, 0.01, 10.0, seed=5), 0)
+        params = CouplingParams.from_exponent(2, 1.0, 0.5)
+        summary = ss_scan(params, momentum_sampler(2, 0.01, 10.0, seed=5), 0)
         assert summary.reports == ()
         assert summary.ss_count == 0
 
@@ -215,9 +217,8 @@ class TestOneLadderPassPerPoint:
                                          {(0, 1): 1.0, (3, 1): 0.6}])
     def test_n_body_match(self, ladder_passes, entries):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        coeffs = SuperpositionCoeffs.for_params(params, entries)
         pset = symmetric_pset(3, 1.0)
-        match_n_body(params, pset, coeffs, r_minus=80.0)
+        match_n_body(params, pset, entries, r_minus=80.0)
         b0 = radial_indices(params, 0).b_prime
         assert ladder_passes == [(b0 + k, pset.p * 80.0) for k, _ in entries]
 
@@ -284,14 +285,58 @@ class TestTwoBodyMatch:
             match_two_body(params3, 1.0, 50.0, 5.0)
 
 
+def _two_body_draws(count: int, seed: int):
+    """Seeded (params, p, r_-, r_+) with nu' >= delta, so that the
+    delta = 0 image (nu' - delta, 0) is a valid exponent too."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        delta = rng.uniform(-0.5, 1.0)
+        nu_prime = rng.uniform(max(delta, 0.0), 3.0)
+        yield (CouplingParams.from_exponent(2, nu_prime, delta),
+               10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(5.0, 500.0),
+               rng.uniform(0.5, 20.0))
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / abs(b)
+
+
+class TestMatcherInvariances:
+    """Exact symmetries of the two-body match, over 200 seeded draws."""
+
+    def test_depends_on_momentum_only_through_p_r(self):
+        for params, p, r_minus, r_plus in _two_body_draws(200, seed=1):
+            m = match_two_body(params, p, r_minus, r_plus)
+            unit = match_two_body(params, 1.0, p * r_minus, p * r_plus)
+            for field in ("reflection", "transmission",
+                          "derivative_mismatch"):
+                assert _rel(getattr(unit, field), getattr(m, field)) \
+                    <= 1e-12, (field, params, p, r_minus, r_plus)
+
+    def test_r_and_t_depend_on_couplings_only_through_b_prime(self):
+        # (nu', delta) -> (nu' - delta, 0) keeps b' and changes c
+        changes = []
+        for params, p, r_minus, r_plus in _two_body_draws(200, seed=2):
+            m = match_two_body(params, p, r_minus, r_plus)
+            image = CouplingParams.from_exponent(
+                2, params.nu_prime - params.delta, 0.0)
+            h = match_two_body(image, p, r_minus, r_plus)
+            assert _rel(h.reflection, m.reflection) <= 1e-12
+            assert _rel(h.transmission, m.transmission) <= 1e-12
+            changes.append(_rel(h.derivative_mismatch,
+                                m.derivative_mismatch))
+        # c = delta + 1/2 enters the derivative row of the outgoing side,
+        # so deriv_mismatch is not a function of b' alone
+        assert max(changes) > 1.0
+
+
 class TestNBodyMatch:
     @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (3, 3), (4, 0), (4, 3)])
     def test_reflection_unity(self, n, k):
         params = CouplingParams.from_exponent(n, 1.0, 0.5)
         pset = symmetric_pset(n, 1.0)
         entries = {(0, 1): 1.0} if k == 0 else {(0, 1): 1.0, (k, 1): 0.6}
-        coeffs = SuperpositionCoeffs.for_params(params, entries)
-        m = match_n_body(params, pset, coeffs, r_minus=80.0)
+        m = match_n_body(params, pset, entries, r_minus=80.0)
         assert abs(m.reflection - 1.0) < 1e-9
         assert abs(abs(m.a) - abs(m.b)) < 1e-12 * abs(m.a)
         assert m.d is None and m.transmission is None
@@ -299,7 +344,7 @@ class TestNBodyMatch:
     def test_two_body_reduction(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
         pset = symmetric_pset(2, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         mn = match_n_body(params, pset, coeffs, r_minus=50.0)
         m2 = match_two_body(params, 1.0, 50.0, 5.0)
         assert abs(mn.reflection - m2.reflection) < 1e-9
@@ -308,8 +353,7 @@ class TestNBodyMatch:
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
         pset = symmetric_pset(3, 1.0)
         phase = cmath.exp(0.7j)
-        coeffs = SuperpositionCoeffs.for_params(
-            params, {(0, 1): phase, (3, 1): 0.6 * phase})
+        coeffs = {(0, 1): phase, (3, 1): 0.6 * phase}
         m = match_n_body(params, pset, coeffs, r_minus=80.0)
         assert abs(m.reflection - 1.0) < 1e-9
 
@@ -323,15 +367,14 @@ class TestNBodyMatch:
         p3 = laplace_solutions(params, 3)[0]
         r_hat = radial_coordinate(direction)
         c3 = float(evaluate_poly(p3, direction)) / r_hat ** 3
-        coeffs = SuperpositionCoeffs.for_params(
-            params, {(0, 1): 1.0, (3, 1): -1.0 / c3})
+        coeffs = {(0, 1): 1.0, (3, 1): -1.0 / c3}
         with pytest.raises(DegenerateEnvelopeError):
             match_n_body(params, pset, coeffs, r_minus=80.0,
                          direction=direction)
 
     def test_coincident_direction_rejected(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         with pytest.raises(DomainError, match="r_hat"):
             match_n_body(params, symmetric_pset(3, 1.0), coeffs,
                          r_minus=80.0, direction=(0.5, 0.5, 0.5))
@@ -345,55 +388,31 @@ class TestNBodyMatch:
         # the superposition itself
         params = CouplingParams.from_exponent(n, nu, delta)
         pset = reference_momentum_set(n, 1.3)
-        coeffs = SuperpositionCoeffs.for_params(params, entries)
         direction = tuple((n - 1) / 2.0 - j + 0.1 * j * j for j in range(n))
         direction = tuple(sorted(direction, reverse=True))
-        psi = make_general_state(params, pset, coeffs)
+        psi = make_general_state(params, pset, entries)
         r_hat = radial_coordinate(direction)
         scale = pset.p ** radial_indices(params, 0).n_prime
         for r in (0.7, 3.0, 11.5, 40.0):
             expected = psi(tuple(r * c / r_hat for c in direction))
-            got = _ray_profile(params, pset, coeffs, direction, r)[0] * scale
+            got = _ray_profile(params, pset, entries, direction, r)[0] * scale
             assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 class TestTransferMatrix:
     def test_finite_nonzero(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
-        td = transfer_matrix(match_two_body(params, 1.0, 50.0, 5.0))
-        assert td.m22_status == M22_FINITE_NONZERO
-        assert td.inv_m22 != 0
-
-    def test_pair_relation(self):
-        params = CouplingParams.from_exponent(2, 1.0, 0.5)
         m = match_two_body(params, 1.0, 50.0, 5.0)
-        td = transfer_matrix(m)
-        a_plus = td.m[0][0] * m.a + td.m[0][1] * m.b
-        b_plus = td.m[1][0] * m.a + td.m[1][1] * m.b
-        assert a_plus == pytest.approx(m.d, rel=1e-10)
-        assert abs(b_plus) < 1e-12 * abs(m.d)
+        assert m22_status(m) == M22_FINITE_NONZERO
+        assert m.d / m.a != 0
 
     def test_divergent_at_transmission_zero(self):
         # b' = 1/2 makes the transmitted coefficient vanish at p r_+ = pi
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
         m = match_two_body(params, 1.0, 50.0, math.pi)
         assert m.transmission < 1e-25
-        td = transfer_matrix(m)
-        assert td.m22_status == M22_DIVERGENT
-        assert abs(td.inv_m22) < 1e-12
-
-    def test_det_phase_invariance(self):
-        params = CouplingParams.from_exponent(2, 1.0, 0.5)
-        m = match_two_body(params, 1.0, 50.0, 5.0)
-        td = transfer_matrix(m)
-        phase = cmath.exp(1.1j)
-        rotated = ScatteringMatch(
-            r_minus=m.r_minus, r_plus=m.r_plus, a=m.a * phase, b=m.b * phase,
-            d=m.d * phase, reflection=m.reflection,
-            transmission=m.transmission,
-            derivative_mismatch=m.derivative_mismatch)
-        td2 = transfer_matrix(rotated)
-        assert td2.det_m == pytest.approx(td.det_m, rel=1e-10)
+        assert m22_status(m) == M22_DIVERGENT
+        assert abs(m.d / m.a) < 1e-12
 
     def test_status_helper(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
@@ -405,7 +424,13 @@ class TestTransferMatrix:
                                 transmission=math.inf,
                                 derivative_mismatch=0.0)
         with pytest.raises(NumericalFailureError):
-            transfer_matrix(match)
+            m22_status(match)
+
+    def test_n_body_match_rejected(self):
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        m = match_n_body(params, symmetric_pset(3, 1.0), {(0, 1): 1.0}, 80.0)
+        with pytest.raises(DomainError, match="two-body"):
+            m22_status(m)
 
 
 class TestReachableDomain:
@@ -430,8 +455,7 @@ class TestReachableDomain:
                             m = match_two_body(params, p, r_minus, 5.0)
                             assert abs(m.reflection - 1.0) <= 1e-12
                             continue
-                        coeffs = SuperpositionCoeffs.for_params(
-                            params, {(k, 1): 1.0})
+                        coeffs = {(k, 1): 1.0}
                         pset = reference_momentum_set(n, p)
                         try:
                             m = match_n_body(params, pset, coeffs, r_minus)
@@ -491,6 +515,16 @@ class TestTransmissionSweep:
         with pytest.raises(DomainError, match="3 r_minus values but 1"):
             transmission_trend([10.0, 100.0, 1000.0], [1.0])
 
+    def test_two_body_is_the_k0_channel(self):
+        # a degree-2 solution exists at (0, 1/2), yet the two-body matcher
+        # still has no k: every k != 0 is refused before any matching
+        two = CouplingParams.from_exponent(2, 0.0, 0.5)
+        assert laplace_solutions(two, 2)
+        with pytest.raises(DomainError, match="the k = 0 channel"):
+            match_at(two, 1.0, 50.0, 5.0, k=2)
+        with pytest.raises(DomainError, match="the k = 0 channel"):
+            transmission_sweep(two, "r_minus", [10.0, 100.0], k=2)
+
     def test_unknown_parameter_rejected(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
         with pytest.raises(DomainError, match="cannot sweep"):
@@ -505,7 +539,6 @@ class TestTransmissionSweep:
         sweep = transmission_sweep(three, "r_minus", [80.0, 40.0], k=3)
         assert sweep.trend is None
         pset = reference_momentum_set(3, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(three, {(0, 1): 1.0,
-                                                        (3, 1): 0.6})
+        coeffs = {(0, 1): 1.0, (3, 1): 0.6}
         for rm, m in sweep.rows:
             assert m == match_n_body(three, pset, coeffs, rm)

@@ -13,10 +13,10 @@ from calogero_ss.model import (HAMILTONIAN_TERMS, CouplingParams,
 from calogero_ss.polynomials import evaluate_poly
 from calogero_ss.scattering import _forward_wave, _reversed_wave
 from calogero_ss.specialfn import bessel_j
-from calogero_ss.wavefunction import (MomentumSet, SuperpositionCoeffs,
-                                      apply_hamiltonian_fd, asymptotic_wave,
-                                      eigen_residual, ground_state,
-                                      laplace_solutions, make_general_state,
+from calogero_ss.wavefunction import (MomentumSet, apply_hamiltonian_fd,
+                                      asymptotic_wave, eigen_residual,
+                                      ground_state, laplace_solutions,
+                                      make_general_state,
                                       make_scattering_state,
                                       radial_coordinate, radial_solution,
                                       reference_momentum_set,
@@ -145,7 +145,7 @@ class TestEigenfunctions:
     def test_general_single_entry_scaling(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
         pset = symmetric_pset(3, 1.3)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         x = (2.0, 0.1, -1.8)
         single = make_scattering_state(params, pset, 0)(x)
         n_prime = radial_indices(params, 0).n_prime
@@ -156,10 +156,8 @@ class TestEigenfunctions:
     def test_linearity(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
         pset = symmetric_pset(3, 1.0)
-        base = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0,
-                                                       (3, 1): 0.5})
-        scaled = SuperpositionCoeffs.for_params(params, {(0, 1): 2.5,
-                                                         (3, 1): 1.25})
+        base = {(0, 1): 1.0, (3, 1): 0.5}
+        scaled = {(0, 1): 2.5, (3, 1): 1.25}
         x = (2.5, 0.3, -2.0)
         assert make_general_state(params, pset, scaled)(x) == \
             pytest.approx(2.5 * make_general_state(params, pset, base)(x),
@@ -168,7 +166,7 @@ class TestEigenfunctions:
     def test_zero_degeneracy_entry_rejected(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
         pset = symmetric_pset(3, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(params, {(1, 1): 1.0})
+        coeffs = {(1, 1): 1.0}
         with pytest.raises(DomainError, match="zero degeneracy"):
             make_general_state(params, pset, coeffs)
 
@@ -204,7 +202,7 @@ class TestStateEvaluator:
     def test_exception_types(self, k):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
         pset = symmetric_pset(3, 1.2)
-        coeffs = SuperpositionCoeffs.for_params(params, {(k, 1): 0.5})
+        coeffs = {(k, 1): 0.5}
         for call in (make_scattering_state(params, pset, k),
                      make_general_state(params, pset, coeffs)):
             with pytest.raises(DomainError, match="ordered descending"):
@@ -259,8 +257,7 @@ class TestHamiltonianFD:
     def test_two_term_superposition(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
         pset = symmetric_pset(3, 1.4)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0,
-                                                         (3, 1): 0.7})
+        coeffs = {(0, 1): 1.0, (3, 1): 0.7}
         psi = make_general_state(params, pset, coeffs)
         samples = gap_band_samples(3, 13, 20)
         assert eigen_residual(psi, state_energy(pset), samples, params) < 1e-6
@@ -366,7 +363,7 @@ class TestAsymptoticWave:
     def test_sum_matches_general_at_large_r(self):
         params = self.params_half_order()
         pset = symmetric_pset(2, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         r_target = 100.0
         x = (r_target / math.sqrt(2.0), -r_target / math.sqrt(2.0))
         full = make_general_state(params, pset, coeffs)(x)
@@ -377,7 +374,7 @@ class TestAsymptoticWave:
     def test_phase_difference(self):
         params = self.params_half_order()
         pset = symmetric_pset(2, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         x = (70.0, -70.0)
         pr = pset.p * radial_coordinate(x)
         b = radial_indices(params, 0).b_prime
@@ -393,7 +390,7 @@ class TestAsymptoticWave:
         # |psi_+| ~ r^(-1/2 - A' - k + nu' N(N-1)/2) along a fixed direction
         params = CouplingParams.from_exponent(2, 2.0, 0.5)
         pset = symmetric_pset(2, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         idx = radial_indices(params, 0)
         expected = -0.5 - idx.a_prime - 0 + params.nu_prime * 1.0
         logs = []
@@ -410,7 +407,7 @@ class TestAsymptoticWave:
         # relative error of psi_+ + psi_- falls like 1/(p r): fitted, not assumed
         params = CouplingParams.from_exponent(2, 2.0, 0.5)  # b' = 1
         pset = symmetric_pset(2, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         errs = []
         for r in (419.0, 853.0):
             x = (r / math.sqrt(2.0), -r / math.sqrt(2.0))
@@ -428,7 +425,7 @@ class TestAsymptoticWave:
     def test_below_threshold(self):
         params = CouplingParams.from_exponent(2, 2.0, 0.5)
         pset = symmetric_pset(2, 1.0)
-        coeffs = SuperpositionCoeffs.for_params(params, {(0, 1): 1.0})
+        coeffs = {(0, 1): 1.0}
         with pytest.raises(AsymptoticRangeError):
             asymptotic_wave((5.0, -5.0), pset, coeffs, params, +1,
                             max_rel_error=1e-6)
