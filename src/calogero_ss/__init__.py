@@ -3,7 +3,7 @@
 Library layout mirrors the problem: ``specialfn`` (self-contained Bessel
 kernels), ``model`` (coupling/exponent algebra and PT checks),
 ``polynomials`` (exact generalized-Laplace nullspaces), ``wavefunction``
-(eigenfunction assembly and FD verification), ``scattering`` (Jost
+(eigenfunction assembly and the FD eigen residual), ``scattering`` (Jost
 Wronskians, boundary matching, spectral-singularity scan), ``cli`` (the
 ``calogero-ss`` executable).
 """
@@ -16,20 +16,19 @@ from .errors import (AsymptoticRangeError, CalogeroError, CouplingRangeError,
 from .model import (CouplingParams, ExponentRoots, RadialIndices, Validity,
                     classify_validity, coupling_from_exponent,
                     pt_invariance_residual, radial_indices, solve_nu_prime)
-from .polynomials import (LaplaceSystem, SymPolynomial, degeneracy,
-                          evaluate_poly, generic_degeneracy,
+from .polynomials import (LaplaceSystem, SymPolynomial, evaluate_poly,
                           solve_generalized_laplace, ti_symmetric_basis)
 from .scattering import (JostPair, ScanSummary, ScatteringMatch,
-                         TransmissionSweep, TrendDiscrepancy, WronskianReport,
+                         TransmissionSweep, TrendSummary, WronskianReport,
                          m22_status, match_n_body, match_two_body,
                          momentum_sampler, pair_factors, sample_momenta,
                          ss_scan, transmission_sweep, transmission_trend,
                          wronskian, wronskian_product_form, wronskian_report)
-from .specialfn import BesselEval, bessel_eval, bessel_j, bessel_j_prime
-from .wavefunction import (MomentumSet, apply_hamiltonian_fd,
-                           asymptotic_wave, eigen_residual, ground_state,
+from .specialfn import bessel_eval, bessel_j
+from .wavefunction import (MomentumSet, asymptotic_wave, ground_state,
                            make_general_state, make_scattering_state,
                            radial_coordinate, radial_solution,
-                           reference_momentum_set, state_energy)
+                           reference_momentum_set, residual_convergence,
+                           state_energy)
 
 __version__ = "0.1.0"

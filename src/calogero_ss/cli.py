@@ -165,6 +165,7 @@ def cmd_coeffs(args) -> int:
     params = _params_from_args(args)
     if args.p is None or args.p <= 0.0:
         raise UsageError("coeffs needs --p > 0")
+    _require_finite(args, "p", "r_minus", "r_plus")
     metadata = _convention_metadata()
     metadata.update({"n": str(args.n), "p": _f17(args.p),
                      "r_minus": _f17(args.r_minus),
@@ -179,6 +180,13 @@ def cmd_coeffs(args) -> int:
     _write_text(args.out, _csv_document(metadata, COEFFS_HEADER,
                                         [_coeffs_row(args.p, m)]))
     return EXIT_OK
+
+
+def _require_finite(args, *dests: str) -> None:
+    for dest in dests:  # name the first non-finite option
+        if not math.isfinite(getattr(args, dest)):
+            raise UsageError(f"--{dest.replace('_', '-')} must be finite, "
+                             f"got {getattr(args, dest)}")
 
 
 def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
@@ -203,6 +211,7 @@ def cmd_sweep(args) -> int:
     param = args.param.replace("-", "_")
     if any(p <= 0.0 for p in (grid if param == "p" else [args.p])):
         raise UsageError("sweep needs --p > 0 (or --param p)")
+    _require_finite(args, "p", "r_minus", "r_plus")
     sweep = transmission_sweep(params, param, grid, p=args.p,
                                r_minus=args.r_minus, r_plus=args.r_plus,
                                k=args.k)
@@ -225,12 +234,11 @@ def cmd_sweep(args) -> int:
         metadata["trend_claim"] = "transmission_vanishes_at_large_r_minus"
         metadata["trend_slope"] = _f17(trend.fitted_slope)
         metadata["trend_decayed"] = "true" if trend.decayed else "false"
-        if trend.discrepancy is not None:
-            disc = trend.discrepancy
+        if not trend.decayed:
             metadata["trend_discrepancy"] = (
-                f"slope={_f17(disc.fitted_slope)};"
-                f"envelope_first={_f17(disc.envelope_first)};"
-                f"envelope_last={_f17(disc.envelope_last)}")
+                f"slope={_f17(trend.fitted_slope)};"
+                f"envelope_first={_f17(trend.envelope_first)};"
+                f"envelope_last={_f17(trend.envelope_last)}")
 
     _write_text(args.out, _csv_document(metadata, COEFFS_HEADER, rows))
     if series is not None:
@@ -239,7 +247,7 @@ def cmd_sweep(args) -> int:
             y_label=args.plot_column,
             title=f"{args.plot_column} vs {args.param}",
             log_x=args.log, metadata=metadata))
-    if trend is not None and trend.discrepancy is not None:
+    if trend is not None and not trend.decayed:
         print("sweep: expected-trend check failed "
               "(transmission does not vanish); see metadata",
               file=sys.stderr)
@@ -265,7 +273,7 @@ def _builtin_samples(n: int, seed: int, count: int = 20):
 def _read_configs(path: str) -> list[tuple[float, ...]]:
     """Rows of a {"configs": [[x1, ..., xN], ...]} file, as floats.
 
-    Only the shape is checked here; eigen_residual checks each row's
+    Only the shape is checked here; residual_convergence checks each row's
     coordinate count and order.
     """
     try:
@@ -288,6 +296,7 @@ def cmd_residual(args) -> int:
     params = _params_from_args(args)
     if args.p is None or args.p <= 0.0:
         raise UsageError("residual needs --p > 0")
+    _require_finite(args, "p")
     if not (math.isfinite(args.tol) and args.tol > 0.0
             and math.isfinite(args.h)):
         raise UsageError("residual needs a finite --tol > 0 and a finite --h")
@@ -336,7 +345,7 @@ def cmd_polys(args) -> int:
 
 # --- parser construction --------------------------------------------------------
 
-def _add_model_options(sub, with_k: bool = True):
+def _add_model_options(sub):
     sub.add_argument("--n", type=int, required=True,
                      help="number of particles")
     sub.add_argument("--g", type=float, default=None,
@@ -345,9 +354,8 @@ def _add_model_options(sub, with_k: bool = True):
                      help="ground-state exponent (exclusive with --g)")
     sub.add_argument("--delta", type=float, default=None,
                      help="deformation coupling")
-    if with_k:
-        sub.add_argument("--k", type=int, default=0,
-                         help="polynomial degree of the state")
+    sub.add_argument("--k", type=int, default=0,
+                     help="polynomial degree of the state")
 
 
 def build_parser() -> _Parser:

@@ -6,8 +6,9 @@ ground-state exponent nu' through the quadratic
     g = nu'^2 - nu' (1 + 2 delta),
 
 derives the radial indices (b', A', n', c) used by the wavefunction and
-scattering modules, applies the Hamiltonian terms by finite differences, and
-provides an extensional PT-commutation checker for them.
+scattering modules, and holds the finite-difference stencil of the
+Hamiltonian terms, which the eigen residual and the extensional
+PT-commutation checker share.
 """
 
 from __future__ import annotations
@@ -144,31 +145,17 @@ def radial_indices(params: CouplingParams, k: int) -> RadialIndices:
                          n_prime=n_prime, c=params.nu_prime - b_prime)
 
 
-# --- finite-difference Hamiltonian and PT-commutation checker ----------------
+# --- finite-difference Hamiltonian stencil and PT-commutation checker -------
 #
-# The Hamiltonian terms are applied by second-order central differences.
-# PT acts on functions as (PT f)(x) = conj(f(-x)); the residual
-# |PT(T f)(x) - T(PT f)(x)| measures the commutator extensionally.  "control_x1" (multiplication by x_1) is the
-# deliberately PT-breaking reference.  Multiplication by i*x_1 is also
-# provided: it is PT-invariant (parity flips x_1, conjugation flips i), which
-# makes it a useful non-Hermitian-but-invariant control.
+# The Hamiltonian terms are applied by second-order central differences on
+# one 2N+1-point stencil, shared by the eigen residual and the PT checker.
+# No ordering of x is assumed; callers keep the stencil off the coincidence
+# hyperplanes.  PT acts on functions as (PT f)(x) = conj(f(-x)); the residual
+# |PT(T f)(x) - T(PT f)(x)| measures the commutator extensionally.
 
 TermFn = Callable[[Callable, Sequence[float], float], complex]
 
 HAMILTONIAN_TERMS = ("kinetic", "inverse_square", "momentum_deformation")
-
-
-def hamiltonian_terms(f: Callable[[tuple], complex], x: Sequence[float],
-                      g: float, delta: float, h: float
-                      ) -> tuple[complex, complex, complex]:
-    """(kinetic, inverse-square, deformation) term values at x.
-
-    All three share one 2N+1-point stencil of step h.  No ordering of x is
-    assumed; callers keep the stencil off the coincidence hyperplanes.
-    """
-    center = complex(f(tuple(x)))
-    plus, minus = stencil_values(f, x, h)
-    return terms_from_stencil(x, center, plus, minus, g, delta, h)
 
 
 def stencil_values(f: Callable[[tuple], complex], x: Sequence[float],
@@ -205,28 +192,17 @@ def _min_pair_gap(x: Sequence[float]) -> float:
     return min(abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n))
 
 
-def hamiltonian_term(name: str, g: float = 1.0, delta: float = 0.5) -> TermFn:
-    """One term of the extended Hamiltonian as an (f, x, h) -> value map."""
-    if name == "control_x1":
-        return lambda f, x, h: x[0] * f(tuple(x))
-    if name == "control_ix1":
-        return lambda f, x, h: 1j * x[0] * f(tuple(x))
-    if name not in HAMILTONIAN_TERMS:
-        raise DomainError(f"unknown Hamiltonian term {name!r}")
-    i = HAMILTONIAN_TERMS.index(name)
-    return lambda f, x, h: hamiltonian_terms(f, x, g, delta, h)[i]
-
-
 def pt_invariance_residual(term: str | TermFn,
                            testfn: Callable[[tuple], complex],
                            sample: Sequence[float], *,
                            g: float = 1.0, delta: float = 0.5,
                            h: float = 1e-4, min_gap: float = 1e-6) -> float:
-    """|PT(T psi)(x) - T(PT psi)(x)| for one Hamiltonian term T.
+    """|PT(T psi)(x) - T(PT psi)(x)| for one term T.
 
-    ~0 for every term of the extended Hamiltonian, O(|x_1 psi|) for the
-    PT-breaking control.  The sample (and its parity image) must stay off
-    the coincidence hyperplanes by at least min_gap and clear of the
+    term names one of HAMILTONIAN_TERMS, evaluated on the stencil above,
+    or is any (f, x, h) -> value map (a control).  ~0 for every term of
+    the extended Hamiltonian.  The sample (and its parity image) must stay
+    off the coincidence hyperplanes by at least min_gap and clear of the
     stencil width.
     """
     x = tuple(float(c) for c in sample)
@@ -234,8 +210,18 @@ def pt_invariance_residual(term: str | TermFn,
     if gap < max(min_gap, 4.0 * h):
         raise SingularConfigurationError(
             f"sample gap {gap:.3e} too close to a coincidence hyperplane")
-    op = hamiltonian_term(term, g=g, delta=delta) \
-        if isinstance(term, str) else term
+    if isinstance(term, str):
+        if term not in HAMILTONIAN_TERMS:
+            raise DomainError(f"unknown Hamiltonian term {term!r}")
+        i = HAMILTONIAN_TERMS.index(term)
+
+        def op(f, y, step):
+            centre = complex(f(y))
+            plus, minus = stencil_values(f, y, step)
+            return terms_from_stencil(y, centre, plus, minus, g, delta,
+                                      step)[i]
+    else:
+        op = term
 
     def pt_of(fn):
         return lambda y: complex(fn(tuple(-c for c in y))).conjugate()

@@ -47,14 +47,10 @@ from math import comb, gcd
 from typing import Callable, Mapping, Sequence
 
 from ._sums import lsum
-from .errors import DomainError, InternalConsistencyError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 DEFAULT_MAX_DEGREE = 8
 DEFAULT_MAX_VARS = 6
-
-# Generic-lambda policy: dimensions agreeing at these two samples are
-# reported as the generic degeneracy.
-GENERIC_LAMBDAS = (Fraction(7, 10), Fraction(13, 9))
 
 Monomial = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -313,37 +309,6 @@ def solve_generalized_laplace(n_vars: int, degree: int, lam, *,
         n_vars=n_vars, degree=degree, lam=lam_f, basis=tuple(basis),
         constraint_matrix=tuple(tuple(row) for row in matrix),
         nullspace_dim=len(null), solutions=tuple(solutions))
-
-
-@dataclass(frozen=True)
-class GenericDegeneracy:
-    """Dimensions at the two generic lambda samples."""
-    samples: tuple[tuple[Fraction, int], tuple[Fraction, int]]
-
-    @property
-    def dimension(self) -> int | None:
-        (_, d1), (_, d2) = self.samples
-        return d1 if d1 == d2 else None
-
-
-def generic_degeneracy(n_vars: int, degree: int, **caps) -> GenericDegeneracy:
-    return GenericDegeneracy(tuple(
-        (lam, solve_generalized_laplace(n_vars, degree, lam,
-                                        **caps).nullspace_dim)
-        for lam in GENERIC_LAMBDAS))
-
-
-def degeneracy(n_vars: int, degree: int, lam=None, **caps) -> int:
-    """Number of independent solutions at lam (generic policy when None)."""
-    if lam is not None:
-        return solve_generalized_laplace(n_vars, degree, lam,
-                                         **caps).nullspace_dim
-    gen = generic_degeneracy(n_vars, degree, **caps)
-    if gen.dimension is None:
-        raise InternalConsistencyError(
-            "generic lambda samples disagree: "
-            + ", ".join(f"dim={d} at lambda={l}" for l, d in gen.samples))
-    return gen.dimension
 
 
 def evaluate_poly(poly: SymPolynomial, x: Sequence):

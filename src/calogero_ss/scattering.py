@@ -32,7 +32,8 @@ DIVERGENT_TOL = 1e-12
 
 # Operational reading of "transmission vanishes at large r_-": over the
 # sweep the tail upper envelope must fall by a decade with a clearly
-# negative fitted slope.  Violations produce a TrendDiscrepancy record.
+# negative fitted slope.  A violation leaves TrendSummary.decayed False,
+# which the CLI records as trend_discrepancy and exits 6 on.
 DECAY_SLOPE_MAX = -0.25
 DECAY_DROP_MIN = 10.0
 
@@ -254,8 +255,7 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
     idx = radial_indices(params, 0)
     b_ord, c = idx.b_prime, idx.c
 
-    inner = bessel_eval(b_ord, p * r_minus)
-    jm, jm_d = inner.value, inner.derivative  # d/d(pr)
+    jm, jm_d = bessel_eval(b_ord, p * r_minus)  # d/d(pr)
     em = cmath.exp(-1j * p * r_minus)
     ep = cmath.exp(1j * p * r_minus)
     # rows: value and derivative of the envelope (common power canceled)
@@ -272,8 +272,7 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
     b = (m11 * rhs2 - rhs1 * m21) / det
 
     # transmitted side: one constant from value continuity
-    outer = bessel_eval(b_ord, p * r_plus)
-    jp, jp_d = outer.value, outer.derivative
+    jp, jp_d = bessel_eval(b_ord, p * r_plus)
     d = math.sqrt(r_plus) * jp * cmath.exp(1j * p * r_plus)
     # derivative defect of the over-determined outgoing condition
     pref = p ** (idx.n_prime - 0.5)
@@ -300,8 +299,7 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
     comparison only.
     """
     idx = radial_indices(params, 0)
-    ev = bessel_eval(idx.b_prime, p * r_plus)
-    j, jd = ev.value, ev.derivative
+    j, jd = bessel_eval(idx.b_prime, p * r_plus)
     pref = cmath.exp(1j * p * r_plus) / p ** (idx.n_prime - 0.5)
     return {
         "derivative_squared": r_plus * jd * jd * pref,
@@ -337,8 +335,8 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
              for ch in _channels(params, entries)]
     power = g_exp - b0
     evs = [(c, bessel_eval(b0 + k, pset.p * r)) for k, c in terms]
-    total = lsum(c * ev.value for c, ev in evs)
-    total_d = lsum(c * pset.p * ev.derivative for c, ev in evs)
+    total = lsum(c * j for c, (j, _) in evs)
+    total_d = lsum(c * pset.p * jd for c, (_, jd) in evs)
     envelope_const = lsum(c for _, c in terms) * j0 / math.sqrt(2.0 * math.pi)
     return (j0 * r ** power * total,
             j0 * (power * r ** (power - 1.0) * total + r ** power * total_d),
@@ -428,24 +426,12 @@ def transfer_status(params: CouplingParams) -> str:
 # --- transmission trend --------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrendDiscrepancy:
-    """Structured record of a violated expected trend."""
-    claim: str
-    fitted_slope: float
-    envelope_first: float
-    envelope_last: float
-    r_first: float
-    r_last: float
-    note: str
-
-
-@dataclass(frozen=True)
 class TrendSummary:
+    """Fitted log-log slope and first/last tail upper envelope of T(r_-)."""
     fitted_slope: float
     envelope_first: float
     envelope_last: float
     decayed: bool
-    discrepancy: TrendDiscrepancy | None
 
 
 @dataclass(frozen=True)
@@ -484,15 +470,7 @@ def transmission_trend(r_minus_values: Sequence[float],
     slope = _lsq_slope(logs) if len(logs) >= 2 else 0.0
     first, last = env[0], env[-1]
     decayed = slope <= DECAY_SLOPE_MAX and first >= DECAY_DROP_MIN * last
-    discrepancy = None
-    if not decayed:
-        discrepancy = TrendDiscrepancy(
-            claim="transmission_vanishes_at_large_r_minus",
-            fitted_slope=slope, envelope_first=first, envelope_last=last,
-            r_first=values[0], r_last=values[-1],
-            note="upper envelope of T(r_-) does not decay as claimed; "
-                 "rows retained for inspection")
-    return TrendSummary(slope, first, last, decayed, discrepancy)
+    return TrendSummary(slope, first, last, decayed)
 
 
 def transmission_sweep(params: CouplingParams, param: str,

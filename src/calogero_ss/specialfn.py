@@ -24,7 +24,6 @@ Segura & Temme, *Numerical Methods for Special Functions* (SIAM 2007), ch. 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -131,22 +130,15 @@ def bessel_j(order: float, x: float) -> float:
     if x < 0.0:
         raise DomainError("bessel_j: negative argument rejected "
                           "(branch ambiguity for non-integer order)")
-    if order < 0.0 and order == math.floor(order):
-        n = int(-order)
-        val = bessel_j(float(n), x)
-        return -val if n % 2 else val
     if x == 0.0:
         if order == 0.0:
             return 1.0
         if order > 0.0:
             return 0.0
+        if order == math.floor(order):  # J_(-n) = (-1)^n J_n
+            return -0.0 if int(-order) % 2 else 0.0
         raise DomainError("bessel_j: negative order diverges at x = 0")
-    return _ladder_pair(order, x)[1]
-
-
-def bessel_j_prime(order: float, x: float) -> float:
-    """dJ_order/dx = J_(order-1) - (order/x) J_order, from one ladder pass."""
-    return bessel_eval(order, x).derivative
+    return bessel_eval(order, x)[0]
 
 
 def asymptotic_threshold(order: float, max_rel_error: float = 1e-6) -> float:
@@ -161,25 +153,14 @@ def asymptotic_threshold(order: float, max_rel_error: float = 1e-6) -> float:
     return lead / max_rel_error
 
 
-@dataclass(frozen=True)
-class BesselEval:
-    """Value and derivative of J at a point, as one record."""
-    order: float
-    argument: float
-    value: float
-    derivative: float
-
-
-def bessel_eval(order: float, x: float) -> BesselEval:
-    """J and dJ/dx at x > 0 together, from one ladder pass."""
+def bessel_eval(order: float, x: float) -> tuple[float, float]:
+    """(J, dJ/dx) at x > 0 together, from one ladder pass."""
     if not (math.isfinite(order) and math.isfinite(x)) or x <= 0.0:
         raise DomainError("bessel_eval: need finite order and x > 0, "
                           f"got ({order!r}, {x!r})")
     if order < 0.0 and order == math.floor(order):
         n = int(-order)
-        ev = bessel_eval(float(n), x)
-        if n % 2:
-            return BesselEval(order, x, -ev.value, -ev.derivative)
-        return BesselEval(order, x, ev.value, ev.derivative)
+        value, derivative = bessel_eval(float(n), x)
+        return (-value, -derivative) if n % 2 else (value, derivative)
     lo, hi = _ladder_pair(order, x)
-    return BesselEval(order, x, hi, lo - (order / x) * hi)
+    return hi, lo - (order / x) * hi

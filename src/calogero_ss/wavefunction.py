@@ -1,4 +1,4 @@
-"""Eigenfunction assembly and finite-difference verification.
+"""Eigenfunction assembly and the finite-difference eigen residual.
 
 States live in the ordered sector x_1 >= x_2 >= ... >= x_N.  A state is a
 tuple of channels, one per (degree k, solution index q):
@@ -12,8 +12,8 @@ single states (c = 1), superpositions (c = p^n' Ct), the large-r waves and
 the matcher's ray profile all read these records.
 
 All wavefunction values are returned as complex even when analytically
-real, so the deformed phases flow through one code path.  The Hamiltonian
-is applied by second-order central differences for verification.
+real, so the deformed phases flow through one code path.  The residual
+applies the Hamiltonian on the model's central-difference stencil.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from . import polynomials
 from ._sums import lsum
 from .errors import (AsymptoticRangeError, DomainError,
                      SingularConfigurationError)
-from .model import (CouplingParams, hamiltonian_terms, radial_indices,
-                    stencil_values, terms_from_stencil)
+from .model import (CouplingParams, radial_indices, stencil_values,
+                    terms_from_stencil)
 from .polynomials import SymPolynomial, float_evaluator
 from .specialfn import asymptotic_threshold, bessel_j
 
@@ -271,7 +271,7 @@ def asymptotic_wave(x, pset: MomentumSet,
     return envelope * total
 
 
-# --- finite-difference Hamiltonian -------------------------------------------
+# --- finite-difference eigen residual ----------------------------------------
 
 def _check_stencil(gaps: Sequence[float], h: float) -> None:
     """The 2h-wide stencil must stay inside the sector."""
@@ -287,14 +287,6 @@ def _adjacent_gaps(coords: Sequence[float]) -> list[float]:
     return [coords[j] - coords[j + 1] for j in range(len(coords) - 1)]
 
 
-def apply_hamiltonian_fd(psi: Callable[[tuple], complex], x,
-                         params: CouplingParams, h: float) -> complex:
-    """(H psi)(x) with second-order central differences."""
-    coords = _coords_of(x)
-    _check_stencil(_adjacent_gaps(coords), h)
-    return lsum(hamiltonian_terms(psi, coords, params.g, params.delta, h))
-
-
 def state_energy(pset: MomentumSet) -> float:
     """Eigenvalue of a scattering state at radial momentum p.
 
@@ -305,33 +297,22 @@ def state_energy(pset: MomentumSet) -> float:
     return pset.p ** 2 / 2.0
 
 
-def eigen_residual(psi: Callable[[tuple], complex], p_squared: float,
-                   samples: Sequence, params: CouplingParams,
-                   h_factor: float = 1e-3) -> float:
-    """max over samples of |H psi - p^2 psi| / guard.
+def residual_convergence(psi: Callable[[tuple], complex], p_squared: float,
+                         samples: Sequence, params: CouplingParams,
+                         h_factor: float = 1e-3) -> tuple[float, float, float]:
+    """(residual at h, residual at h/2, ratio); ~4 for a second-order stencil.
 
-    Each sample costs 2N+1 psi calls: psi at the sample is both the
-    stencil centre and the p^2 psi target.  Every sample is checked (N
-    finite coordinates, strictly descending) before psi is called.
+    The residual is max over samples of |H psi - p^2 psi| / guard at h =
+    h_factor * (the sample's smallest gap).  Every sample is checked (N
+    finite coordinates, strictly descending) before psi is called; psi at a
+    sample is the stencil centre and the p^2 psi target at both steps, so a
+    sample costs 4N+1 psi calls.
 
     The guard is |p^2 psi| floored at NEAR_NODE_GUARD times the global
     sample scale; for p^2 = 0 (zero modes) the per-sample scale is the
     term-magnitude sum (cancellation quality), floored at the natural
     curvature scale |psi| * sum(1/gap^2) so states annihilated term by
     term do not divide by roundoff.
-    """
-    points = _residual_samples(samples, params.n_particles)
-    centres = [complex(psi(coords)) for coords in points]
-    return _residual(psi, p_squared, points, centres, params, h_factor)
-
-
-def residual_convergence(psi: Callable[[tuple], complex], p_squared: float,
-                         samples: Sequence, params: CouplingParams,
-                         h_factor: float = 1e-3) -> tuple[float, float, float]:
-    """(residual at h, residual at h/2, ratio); ~4 for a second-order stencil.
-
-    psi at each sample is evaluated once and shared by both step sizes,
-    so a sample costs 4N+1 psi calls.
     """
     points = _residual_samples(samples, params.n_particles)
     centres = [complex(psi(coords)) for coords in points]
@@ -367,7 +348,7 @@ def _residual_samples(samples: Sequence, n: int) -> list[tuple[float, ...]]:
 def _residual(psi: Callable[[tuple], complex], p_squared: float,
               points: Sequence[tuple[float, ...]], centres: Sequence[complex],
               params: CouplingParams, h_factor: float) -> float:
-    """eigen_residual at one step factor, given psi at every sample."""
+    """The residual at one step factor, given psi at every sample."""
     rows = []
     for coords, psi_val in zip(points, centres):
         gaps = _adjacent_gaps(coords)

@@ -2,6 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
+
+# Generic lambda samples: a nullspace dimension is generic when it holds at
+# both.
+GENERIC_LAMBDAS = (Fraction(7, 10), Fraction(13, 9))
 
 # Distinct gap bands keep polynomial eigenfunction factors away from their
 # nodes, so FD residuals stay truncation-dominated (ratio ~4 when h halves).
@@ -20,6 +25,17 @@ def gap_band_samples(n, seed, count, bands=DEFAULT_BANDS):
         mean = sum(coords) / n
         out.append(tuple(c - mean for c in coords))
     return out
+
+
+def control_x1(f, x, h):
+    """Multiplication by x_1: the deliberately PT-breaking control term."""
+    return x[0] * f(tuple(x))
+
+
+def control_ix1(f, x, h):
+    """Multiplication by i x_1: non-Hermitian but PT-invariant (parity
+    flips x_1, conjugation flips i)."""
+    return 1j * x[0] * f(tuple(x))
 
 
 def symmetric_pset(n, p):

@@ -529,6 +529,45 @@ class TestResidual:
         assert err.startswith(f"usage error: {problem}")
 
 
+# (argv without the couplings, option, non-finite value); the argv never
+# gives the option itself, so a --config value is not overridden
+NON_FINITE_OPTIONS = [
+    ("coeffs --n 2", "--p", "inf"),
+    ("coeffs --n 3 --p 1", "--r-plus", "nan"),
+    ("coeffs --n 2 --p 1", "--r-minus", "-inf"),
+    ("sweep --n 3 --param r-minus --from 10 --to 100 --steps 3",
+     "--r-plus", "nan"),
+    ("sweep --n 2 --param p --from 1 --to 5 --steps 3", "--p", "nan"),
+    ("sweep --n 2 --param r-plus --from 1 --to 5 --steps 3",
+     "--r-minus", "inf"),
+    ("residual --n 2", "--p", "inf"),
+    ("residual --n 3", "--p", "nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,option,value", NON_FINITE_OPTIONS,
+    ids=[f"{a.split()[0]}-n{a.split()[2]}{o}-{v}"
+         for a, o, v in NON_FINITE_OPTIONS])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_non_finite_option_rejected(capsys, tmp_path, monkeypatch,
+                                    no_matching, argv, option, value,
+                                    via_config):
+    def never(*args):
+        raise AssertionError("state built")
+    monkeypatch.setattr(cli, "make_scattering_state", never)
+    argv = argv.split() + ["--nu-prime", "1", "--delta", "0.5"]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option[2:]: value}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv.append(f"{option}={value}")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"usage error: {option} must be finite, got {value}\n"
+
+
 class TestPolys:
     def test_cubic(self, capsys):
         code, out, _ = run(capsys, "polys", "--n", "3", "--k", "3",

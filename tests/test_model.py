@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from conftest import control_ix1, control_x1
 
 from calogero_ss.errors import (CouplingRangeError, DomainError,
                                 NoRealExponentError,
@@ -145,14 +146,14 @@ class TestPTInvariance:
 
     def test_breaking_control_magnitude(self):
         # x_1 multiplication anticommutes with PT: residual 2|x_1 psi(x)|.
-        res = pt_invariance_residual("control_x1", gaussian, (1.0, -1.0))
+        res = pt_invariance_residual(control_x1, gaussian, (1.0, -1.0))
         assert res == pytest.approx(2.0 * 1.0 * gaussian((1.0, -1.0)), rel=1e-12)
         assert res > 0.1
 
     def test_ix1_is_pt_invariant(self):
         # i x_1: parity flips x_1, conjugation flips i; the product commutes
         # with PT even though the term is non-Hermitian.
-        assert pt_invariance_residual("control_ix1", gaussian, (1.0, -1.0)) < 1e-12
+        assert pt_invariance_residual(control_ix1, gaussian, (1.0, -1.0)) < 1e-12
 
     def test_three_particles(self):
         res = pt_invariance_residual("momentum_deformation", gaussian,

@@ -13,7 +13,7 @@ from calogero_ss.errors import (DegenerateEnvelopeError, DomainError,
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     JostPair, ScanSummary, ScatteringMatch,
-                                    TrendDiscrepancy, _ray_profile, match_at,
+                                    _ray_profile, match_at,
                                     match_n_body, match_two_body,
                                     momentum_sampler, pair_factors,
                                     m22_status, sample_momenta, ss_scan,
@@ -222,11 +222,14 @@ class TestOneLadderPassPerPoint:
         b0 = radial_indices(params, 0).b_prime
         assert ladder_passes == [(b0 + k, pset.p * 80.0) for k, _ in entries]
 
-    @pytest.mark.parametrize("order", [-3.0, -2.0, 1.5])
+    @pytest.mark.parametrize("order", [-40.0, -3.0, -2.0, -1.0, 1.5, 30.5])
     def test_bessel_eval_matches_separate_calls(self, order):
-        ev = specialfn.bessel_eval(order, 7.3)
-        assert ev.value == specialfn.bessel_j(order, 7.3)
-        assert ev.derivative == specialfn.bessel_j_prime(order, 7.3)
+        # both sides of the Miller/forward switchover, and the reflection
+        # of negative integer orders
+        edge = specialfn.switchover(abs(order))
+        for x in (7.3, 0.9 * edge, edge, 1.1 * edge):
+            value, _ = specialfn.bessel_eval(order, x)
+            assert value == specialfn.bessel_j(order, x), x
 
 
 class TestTwoBodyMatch:
@@ -493,10 +496,7 @@ class TestTransmissionSweep:
         sweep = transmission_sweep(params, "r_minus",
                                    [10.0, 100.0, 1000.0, 10000.0],
                                    p=1.0, r_plus=5.0)
-        assert not sweep.trend.decayed
-        assert isinstance(sweep.trend.discrepancy, TrendDiscrepancy)
-        assert sweep.trend.discrepancy.claim == \
-            "transmission_vanishes_at_large_r_minus"
+        assert sweep.trend.decayed is False
 
     def test_increasing_required(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)

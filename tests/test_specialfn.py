@@ -9,7 +9,7 @@ from calogero_ss import specialfn
 from calogero_ss.errors import DomainError
 from calogero_ss.specialfn import (REL_TARGET, _asymptotic_value, _forward,
                                    _miller, asymptotic_threshold, bessel_eval,
-                                   bessel_j, bessel_j_prime, switchover)
+                                   bessel_j, switchover)
 
 mp.mp.dps = 30
 
@@ -99,9 +99,9 @@ class TestBesselJ:
         # x^2 J'' + x J' + (x^2 - nu^2) J = 0, with J'' from finite
         # differences of the (identity-based) first derivative.
         h = 5e-6
-        jpp = (bessel_j_prime(order, x + h) - bessel_j_prime(order, x - h)) / (2 * h)
-        j = bessel_j(order, x)
-        jp = bessel_j_prime(order, x)
+        jpp = (bessel_eval(order, x + h)[1]
+               - bessel_eval(order, x - h)[1]) / (2 * h)
+        j, jp = bessel_eval(order, x)
         resid = abs(x * x * jpp + x * jp + (x * x - order * order) * j)
         assert resid / max(1.0, abs(j)) < 1e-8
 
@@ -163,18 +163,25 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             bessel_j(-0.5, 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_negative_integer_order_at_zero(self, n):
+        # J_(-n)(0) = (-1)^n J_n(0): a signed zero, not a divergence
+        value = bessel_j(-float(n), 0.0)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == (-1.0 if n % 2 else 1.0)
+
 
 class TestBesselJPrime:
     def test_j0_prime_is_minus_j1(self):
-        assert bessel_j_prime(0.0, 2.0) == pytest.approx(-J1_OF_2, rel=1e-12)
+        assert bessel_eval(0.0, 2.0)[1] == pytest.approx(-J1_OF_2, rel=1e-12)
 
     def test_half_order_closed_form(self):
         # d/dx sqrt(2/(pi x)) sin x at pi/2 = -2/pi^2
-        got = bessel_j_prime(0.5, math.pi / 2)
+        got = bessel_eval(0.5, math.pi / 2)[1]
         assert got == pytest.approx(-2 / math.pi**2, rel=1e-12)
 
     def test_j1_prime_small_x_limit(self):
-        assert bessel_j_prime(1.0, 1e-8) == pytest.approx(0.5, abs=1e-12)
+        assert bessel_eval(1.0, 1e-8)[1] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("order,x", [(0.3, 1.2), (1.0, 7.7), (2.5, 30.0),
                                          (6.0, 14.0), (0.0, 55.5),
@@ -183,8 +190,8 @@ class TestBesselJPrime:
     def test_vs_oracle(self, order, x):
         ref = float(mp.diff(lambda t: mp.besselj(mp.mpf(repr(order)), t),
                             mp.mpf(repr(x))))
-        assert abs(bessel_j_prime(order, x) - ref) <= 1e-9 * max(abs(ref),
-                                                                 envelope(x))
+        assert abs(bessel_eval(order, x)[1] - ref) <= 1e-9 * max(
+            abs(ref), envelope(x))
 
     @pytest.mark.parametrize("order,x", [(0.0, 2.0), (2.5, 3.0), (-0.5, 1.0),
                                          (40.0, 200.0)])
@@ -197,7 +204,7 @@ class TestBesselJPrime:
             return ladder(*args)
         monkeypatch.setattr(specialfn, "_ladder_pair", counted)
         monkeypatch.setattr(specialfn, "bessel_j", None)
-        bessel_j_prime(order, x)
+        bessel_eval(order, x)
         assert passes == [(order, x)]
 
 
@@ -209,8 +216,7 @@ def test_asymptotic_threshold():
 
 
 def test_bessel_eval_record():
-    ev = bessel_eval(1.0, 2.0)
-    assert ev.order == 1.0 and ev.argument == 2.0
-    assert ev.value == pytest.approx(J1_OF_2, rel=1e-12)
-    assert ev.derivative == pytest.approx(
+    value, derivative = bessel_eval(1.0, 2.0)
+    assert value == pytest.approx(J1_OF_2, rel=1e-12)
+    assert derivative == pytest.approx(
         bessel_j(0.0, 2.0) - J1_OF_2 / 2.0, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Eigenfunction assembly, FD Hamiltonian application, asymptotic forms."""
+"""Eigenfunction assembly, the FD eigen residual, asymptotic forms."""
 
 import cmath
 import math
@@ -8,13 +8,11 @@ from conftest import gap_band_samples, symmetric_pset
 
 from calogero_ss.errors import (AsymptoticRangeError, DomainError,
                                 SingularConfigurationError)
-from calogero_ss.model import (HAMILTONIAN_TERMS, CouplingParams,
-                               hamiltonian_term, radial_indices)
+from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.polynomials import evaluate_poly
 from calogero_ss.scattering import _forward_wave, _reversed_wave
 from calogero_ss.specialfn import bessel_j
-from calogero_ss.wavefunction import (MomentumSet, apply_hamiltonian_fd,
-                                      asymptotic_wave, eigen_residual,
+from calogero_ss.wavefunction import (MomentumSet, asymptotic_wave,
                                       ground_state, laplace_solutions,
                                       make_general_state,
                                       make_scattering_state,
@@ -235,7 +233,7 @@ class TestHamiltonianFD:
         params = CouplingParams.from_exponent(3, 2.0, 0.5)
         psi = lambda c: complex(ground_state(c, 2.0))
         samples = gap_band_samples(3, 11, 20)
-        assert eigen_residual(psi, 0.0, samples, params) < 1e-6
+        assert residual_convergence(psi, 0.0, samples, params)[0] < 1e-6
 
     def test_eigenstate_residual_and_order(self):
         params = CouplingParams.from_exponent(2, 2.0, 0.5)
@@ -252,7 +250,8 @@ class TestHamiltonianFD:
         pset = symmetric_pset(3, 1.3)
         psi = make_scattering_state(params, pset, 3)
         samples = gap_band_samples(3, 9, 20)
-        assert eigen_residual(psi, state_energy(pset), samples, params) < 1e-6
+        assert residual_convergence(psi, state_energy(pset), samples,
+                                    params)[0] < 1e-6
 
     def test_two_term_superposition(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
@@ -260,7 +259,8 @@ class TestHamiltonianFD:
         coeffs = {(0, 1): 1.0, (3, 1): 0.7}
         psi = make_general_state(params, pset, coeffs)
         samples = gap_band_samples(3, 13, 20)
-        assert eigen_residual(psi, state_energy(pset), samples, params) < 1e-6
+        assert residual_convergence(psi, state_energy(pset), samples,
+                                    params)[0] < 1e-6
 
     def test_perturbed_state_detected(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
@@ -268,23 +268,17 @@ class TestHamiltonianFD:
         base = make_scattering_state(params, pset, 0)
         bad = lambda c: base(c) * (1.0 + 0.1 * c[0] ** 2)
         samples = gap_band_samples(2, 3, 20)
-        assert eigen_residual(bad, state_energy(pset), samples, params) > 1e-2
-
-    def test_fd_equals_sum_of_term_table(self):
-        # the eigen-residual and the PT checker share one stencil
-        params = CouplingParams.from_exponent(3, 1.5, 0.5)
-        psi = make_scattering_state(params, symmetric_pset(3, 1.2), 3)
-        ops = [hamiltonian_term(name, g=params.g, delta=params.delta)
-               for name in HAMILTONIAN_TERMS]
-        for x in gap_band_samples(3, 21, 4):
-            total = apply_hamiltonian_fd(psi, x, params, h=1e-3)
-            assert total == sum(op(psi, x, 1e-3) for op in ops)
+        assert residual_convergence(bad, state_energy(pset), samples,
+                                    params)[0] > 1e-2
 
     def test_stencil_guard(self):
+        # h = h_factor * gap; at h_factor >= 1/2 the 2h-wide stencil
+        # reaches the coincidence hyperplane
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
         psi = lambda c: complex(ground_state(c, 1.0))
         with pytest.raises(SingularConfigurationError):
-            apply_hamiltonian_fd(psi, (1.0, 0.999), params, h=0.01)
+            residual_convergence(psi, 0.0, [(1.0, 0.999)], params,
+                                 h_factor=0.5)
 
     @staticmethod
     def _counted(psi):
@@ -303,9 +297,6 @@ class TestHamiltonianFD:
         pset = reference_momentum_set(n, 1.1)
         psi, calls = self._counted(make_scattering_state(params, pset, k))
         samples = gap_band_samples(n, 17, 3)
-        eigen_residual(psi, state_energy(pset), samples, params)
-        assert len(calls) == 3 * (2 * n + 1)
-        calls.clear()
         residual_convergence(psi, state_energy(pset), samples, params)
         assert len(calls) == 3 * (4 * n + 1)
 
@@ -322,9 +313,8 @@ class TestHamiltonianFD:
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
         pset = symmetric_pset(3, 1.2)
         psi, calls = self._counted(make_scattering_state(params, pset, 0))
-        for check in (eigen_residual, residual_convergence):
-            with pytest.raises(DomainError, match=problem):
-                check(psi, state_energy(pset), samples, params)
+        with pytest.raises(DomainError, match=problem):
+            residual_convergence(psi, state_energy(pset), samples, params)
         assert calls == []
 
     def test_factorization_identity(self):
