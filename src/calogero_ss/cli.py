@@ -56,6 +56,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def finite(text: str) -> float:
+    """argparse type of a finite float option."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def positive(text: str) -> float:
+    """argparse type of a finite float option that must be > 0."""
+    value = finite(text)
+    if value <= 0.0:
+        raise ValueError(text)
+    return value
+
+
 def _f17(x: float) -> str:
     return f"{x:.17e}"
 
@@ -163,9 +179,8 @@ def _coeffs_row(p: float, m: ScatteringMatch) -> str:
 
 def cmd_coeffs(args) -> int:
     params = _params_from_args(args)
-    if args.p is None or args.p <= 0.0:
+    if args.p is None:
         raise UsageError("coeffs needs --p > 0")
-    _require_finite(args, "p", "r_minus", "r_plus")
     metadata = _convention_metadata()
     metadata.update({"n": str(args.n), "p": _f17(args.p),
                      "r_minus": _f17(args.r_minus),
@@ -182,23 +197,12 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def _require_finite(args, *dests: str) -> None:
-    for dest in dests:  # name the first non-finite option
-        if not math.isfinite(getattr(args, dest)):
-            raise UsageError(f"--{dest.replace('_', '-')} must be finite, "
-                             f"got {getattr(args, dest)}")
-
-
 def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError("--from and --to must be finite")
     if steps < 1:
         raise UsageError("--steps must be >= 1")
     if steps == 1:
         return [start]
     if log:
-        if start <= 0.0 or stop <= 0.0:
-            raise UsageError("--log needs positive --from/--to")
         la, lb = math.log(start), math.log(stop)
         return [math.exp(la + (lb - la) * i / (steps - 1))
                 for i in range(steps)]
@@ -209,9 +213,6 @@ def cmd_sweep(args) -> int:
     params = _params_from_args(args)
     grid = _grid(getattr(args, "from_"), args.to, args.steps, args.log)
     param = args.param.replace("-", "_")
-    if any(p <= 0.0 for p in (grid if param == "p" else [args.p])):
-        raise UsageError("sweep needs --p > 0 (or --param p)")
-    _require_finite(args, "p", "r_minus", "r_plus")
     sweep = transmission_sweep(params, param, grid, p=args.p,
                                r_minus=args.r_minus, r_plus=args.r_plus,
                                k=args.k)
@@ -294,12 +295,8 @@ def _read_configs(path: str) -> list[tuple[float, ...]]:
 
 def cmd_residual(args) -> int:
     params = _params_from_args(args)
-    if args.p is None or args.p <= 0.0:
+    if args.p is None:
         raise UsageError("residual needs --p > 0")
-    _require_finite(args, "p")
-    if not (math.isfinite(args.tol) and args.tol > 0.0
-            and math.isfinite(args.h)):
-        raise UsageError("residual needs a finite --tol > 0 and a finite --h")
     if args.configs is not None:
         samples = _read_configs(args.configs)
     else:
@@ -348,11 +345,11 @@ def cmd_polys(args) -> int:
 def _add_model_options(sub):
     sub.add_argument("--n", type=int, required=True,
                      help="number of particles")
-    sub.add_argument("--g", type=float, default=None,
+    sub.add_argument("--g", type=finite, default=None,
                      help="long-range coupling (exclusive with --nu-prime)")
-    sub.add_argument("--nu-prime", dest="nu_prime", type=float, default=None,
+    sub.add_argument("--nu-prime", dest="nu_prime", type=finite, default=None,
                      help="ground-state exponent (exclusive with --g)")
-    sub.add_argument("--delta", type=float, default=None,
+    sub.add_argument("--delta", type=finite, default=None,
                      help="deformation coupling")
     sub.add_argument("--k", type=int, default=0,
                      help="polynomial degree of the state")
@@ -367,8 +364,8 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_nu = subs.add_parser("nu-prime", help="solve the exponent quadratic")
-    p_nu.add_argument("--g", type=float, default=None, required=False)
-    p_nu.add_argument("--delta", type=float, default=None, required=False)
+    p_nu.add_argument("--g", type=finite, default=None, required=False)
+    p_nu.add_argument("--delta", type=finite, default=None, required=False)
     p_nu.set_defaults(func=cmd_nu_prime)
 
     p_scan = subs.add_parser("scan", help="spectral-singularity sweep")
@@ -378,18 +375,19 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--p-max", dest="p_max", type=float, required=True)
     p_scan.add_argument("--seed", type=int, required=True)
     p_scan.add_argument("--out", type=str, required=True)
-    p_scan.add_argument("--nu-prime", dest="nu_prime", type=float,
+    p_scan.add_argument("--nu-prime", dest="nu_prime", type=finite,
                         default=1.0)
-    p_scan.add_argument("--delta", type=float, default=0.5)
+    p_scan.add_argument("--delta", type=finite, default=0.5)
     p_scan.set_defaults(func=cmd_scan)
 
     p_coeffs = subs.add_parser("coeffs", help="matched coefficients at one "
                                               "momentum")
     _add_model_options(p_coeffs)
-    p_coeffs.add_argument("--p", type=float, default=None)
-    p_coeffs.add_argument("--r-minus", dest="r_minus", type=float,
+    p_coeffs.add_argument("--p", type=positive, default=None)
+    p_coeffs.add_argument("--r-minus", dest="r_minus", type=positive,
                           default=50.0)
-    p_coeffs.add_argument("--r-plus", dest="r_plus", type=float, default=5.0)
+    p_coeffs.add_argument("--r-plus", dest="r_plus", type=positive,
+                          default=5.0)
     p_coeffs.add_argument("--out", type=str, default=None)
     p_coeffs.set_defaults(func=cmd_coeffs)
 
@@ -397,14 +395,16 @@ def build_parser() -> _Parser:
     _add_model_options(p_sweep)
     p_sweep.add_argument("--param", choices=["r-minus", "r-plus", "p"],
                          required=True)
-    p_sweep.add_argument("--from", dest="from_", type=float, required=True)
-    p_sweep.add_argument("--to", type=float, required=True)
+    p_sweep.add_argument("--from", dest="from_", type=positive,
+                         required=True)
+    p_sweep.add_argument("--to", type=positive, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--log", action="store_true")
-    p_sweep.add_argument("--p", type=float, default=1.0)
-    p_sweep.add_argument("--r-minus", dest="r_minus", type=float,
+    p_sweep.add_argument("--p", type=positive, default=1.0)
+    p_sweep.add_argument("--r-minus", dest="r_minus", type=positive,
                          default=50.0)
-    p_sweep.add_argument("--r-plus", dest="r_plus", type=float, default=5.0)
+    p_sweep.add_argument("--r-plus", dest="r_plus", type=positive,
+                         default=5.0)
     p_sweep.add_argument("--out", type=str, default=None)
     p_sweep.add_argument("--plot", type=str, default=None)
     p_sweep.add_argument("--plot-column", dest="plot_column",
@@ -413,14 +413,14 @@ def build_parser() -> _Parser:
 
     p_res = subs.add_parser("residual", help="finite-difference eigen check")
     _add_model_options(p_res)
-    p_res.add_argument("--p", type=float, default=None)
-    p_res.add_argument("--h", type=float, default=1e-3,
+    p_res.add_argument("--p", type=positive, default=None)
+    p_res.add_argument("--h", type=positive, default=1e-3,
                        help="step factor times the local minimum gap")
     p_res.add_argument("--configs", type=str, default=None,
                        help='JSON file {"configs": [[x1..xN], ...]}, '
                        'N coordinates per row, strictly descending')
     p_res.add_argument("--seed", type=int, default=0)
-    p_res.add_argument("--tol", type=float, default=1e-6)
+    p_res.add_argument("--tol", type=positive, default=1e-6)
     p_res.set_defaults(func=cmd_residual)
 
     p_polys = subs.add_parser("polys", help="generalized-Laplace nullspace")
@@ -451,8 +451,8 @@ def _config_value(action: argparse.Action, key: str, value):
     try:
         parsed = action.type(str(value)) if action.type else str(value)
     except ValueError:
-        raise UsageError(f"config key {key!r}: invalid value {shown}") \
-            from None
+        raise UsageError(f"config key {key!r}: invalid "
+                         f"{action.type.__name__} value {shown}") from None
     if action.choices is not None and parsed not in action.choices:
         raise UsageError(f"config key {key!r}: {shown} is not one of "
                          + ", ".join(action.choices))

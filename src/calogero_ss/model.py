@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._sums import lsum
 from .errors import (CouplingRangeError, DomainError, NoRealExponentError,
@@ -41,8 +40,7 @@ def classify_validity(g: float, delta: float) -> Validity:
     return Validity.INVALID
 
 
-@dataclass(frozen=True)
-class ExponentRoots:
+class ExponentRoots(NamedTuple):
     """Both roots of the exponent quadratic plus the selection."""
     roots: tuple[float, float]   # ascending
     selected: float              # largest non-negative root
@@ -82,25 +80,31 @@ def coupling_from_exponent(nu_prime: float, delta: float) -> float:
     return nu_prime * nu_prime - nu_prime * (1.0 + 2.0 * delta)
 
 
-@dataclass(frozen=True)
-class CouplingParams:
-    """Model parameters with the derived exponent and validity class."""
+class _CouplingFields(NamedTuple):
     n_particles: int
     g: float
     delta: float
     nu_prime: float
     validity_class: Validity
 
-    def __post_init__(self):
-        if self.n_particles < 2:
+
+class CouplingParams(_CouplingFields):
+    """Model parameters with the derived exponent and validity class."""
+    __slots__ = ()
+
+    def __new__(cls, n_particles: int, g: float, delta: float,
+                nu_prime: float, validity_class: Validity):
+        if n_particles < 2:
             raise DomainError("need at least 2 particles")
-        if self.nu_prime < 0.0:
+        if nu_prime < 0.0:
             raise DomainError("nu_prime must be >= 0")
-        expected = coupling_from_exponent(self.nu_prime, self.delta)
-        if abs(self.g - expected) > ROUNDTRIP_TOL * max(1.0, abs(self.g)):
+        expected = coupling_from_exponent(nu_prime, delta)
+        if abs(g - expected) > ROUNDTRIP_TOL * max(1.0, abs(g)):
             raise DomainError(
-                f"inconsistent couplings: g={self.g} vs "
+                f"inconsistent couplings: g={g} vs "
                 f"nu'^2 - nu'(1+2 delta) = {expected}")
+        return super().__new__(cls, n_particles, g, delta, nu_prime,
+                               validity_class)
 
     @classmethod
     def from_coupling(cls, n_particles: int, g: float,
@@ -119,8 +123,7 @@ class CouplingParams:
                    classify_validity(g, delta))
 
 
-@dataclass(frozen=True)
-class RadialIndices:
+class RadialIndices(NamedTuple):
     """Derived indices of the radial problem at polynomial degree k.
 
     b' fixes the Bessel order, A' = b' - k the asymptotic envelope power,

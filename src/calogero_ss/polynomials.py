@@ -41,10 +41,9 @@ exceeds N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._sums import lsum
 from .errors import DomainError, ResourceLimitError
@@ -123,8 +122,7 @@ def partition_order_key(partition: Monomial):
     return (sum(partition), partition)
 
 
-@dataclass(frozen=True)
-class SymPolynomial:
+class SymPolynomial(NamedTuple):
     """Symmetric translation-invariant homogeneous polynomial, exact.
 
     ``power_sums`` maps a partition (parts >= 2) to the coefficient of the
@@ -270,8 +268,7 @@ def _primitive_normalize(poly: SymPolynomial) -> SymPolynomial:
                          {m: c * scale for m, c in poly.power_sums.items()})
 
 
-@dataclass(frozen=True)
-class LaplaceSystem:
+class LaplaceSystem(NamedTuple):
     """Constraint system of the generalized Laplace equation at (N, k)."""
     n_vars: int
     degree: int

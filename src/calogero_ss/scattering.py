@@ -17,8 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._sums import lsum
 from .errors import (DegenerateEnvelopeError, DomainError,
@@ -43,8 +42,7 @@ M22_DIVERGENT = "Divergent"
 
 # --- Jost solutions and Wronskian --------------------------------------------
 
-@dataclass(frozen=True)
-class JostPair:
+class JostPair(NamedTuple):
     """Asymptotic plane-wave descriptors of the two Jost solutions.
 
     psi_+ -> exp(i sum p_j x_j) at large positive separations (its
@@ -148,8 +146,7 @@ def momentum_sampler(n: int, p_min: float, p_max: float,
 
 # --- spectral-singularity scan ------------------------------------------------
 
-@dataclass(frozen=True)
-class WronskianReport:
+class WronskianReport(NamedTuple):
     """Per-sample pairing factors and the singularity verdict.
 
     The verdict is the theorem, not a threshold.  By the factorization
@@ -181,8 +178,7 @@ def wronskian_report(pset: MomentumSet,
                            ss_verdict=factors[0] == 0.0)
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(NamedTuple):
     reports: tuple[WronskianReport, ...]
     min_pair_factor: float     # min over samples of the report minima
     ss_count: int
@@ -208,8 +204,7 @@ def ss_scan(params: CouplingParams, sampler: Callable[[], MomentumSet],
 
 # --- boundary matching --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScatteringMatch:
+class ScatteringMatch(NamedTuple):
     """Matched coefficients and derived reflection/transmission.
 
     Both matchers fill the incoming/outgoing amplitudes (a, b) at r_-;
@@ -425,8 +420,7 @@ def transfer_status(params: CouplingParams) -> str:
 
 # --- transmission trend --------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrendSummary:
+class TrendSummary(NamedTuple):
     """Fitted log-log slope and first/last tail upper envelope of T(r_-)."""
     fitted_slope: float
     envelope_first: float
@@ -434,8 +428,7 @@ class TrendSummary:
     decayed: bool
 
 
-@dataclass(frozen=True)
-class TransmissionSweep:
+class TransmissionSweep(NamedTuple):
     """(swept value, match) rows; trend is None unless it was checked."""
     rows: tuple[tuple[float, ScatteringMatch], ...]
     trend: TrendSummary | None
@@ -479,14 +472,19 @@ def transmission_sweep(params: CouplingParams, param: str,
                        k: int = 0) -> TransmissionSweep:
     """match_at over values of param ("p", "r_minus" or "r_plus").
 
-    The other two stay at their given values.  An N = 2 r_- sweep also
-    runs the trend check of the decay claim, with the grid checked
-    before any matching; every other sweep has trend None.
+    The other two stay at their given values.  r_plus is swept only at
+    N = 2, the one matcher that uses it.  An N = 2 r_- sweep also runs
+    the trend check of the decay claim, with the grid checked before any
+    matching; every other sweep has trend None.
     """
     fixed = {"p": p, "r_minus": r_minus, "r_plus": r_plus}
     if param not in fixed:
         raise DomainError(f"cannot sweep {param!r}; choose one of "
                           + ", ".join(fixed))
+    if param == "r_plus" and params.n_particles != 2:
+        raise DomainError(f"cannot sweep r_plus at N = "
+                          f"{params.n_particles}: only the two-body "
+                          "matcher uses it")
     trend_checked = param == "r_minus" and params.n_particles == 2
     if trend_checked:
         check_r_minus_grid(values)

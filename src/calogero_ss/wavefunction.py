@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import polynomials
 from ._sums import lsum
@@ -44,8 +43,7 @@ def _coords_of(x) -> tuple[float, ...]:
 SUM_ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MomentumSet:
+class MomentumSet(NamedTuple):
     """Sorted sum-zero individual momenta and their radial magnitude p."""
     momenta: tuple[float, ...]
     p: float
@@ -153,8 +151,7 @@ def laplace_solutions(params: CouplingParams, k: int
 
 # --- eigenfunctions ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Channel:
+class _Channel(NamedTuple):
     """Term coeff * Jastrow * r^(-b') J_b'(p r) * poly(x); poly None is 1."""
     k: int
     b_prime: float

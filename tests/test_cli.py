@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -315,16 +316,35 @@ class TestSweep:
         ("2", "p", ("1", "nan")),
         ("3", "r-plus", ("1", "inf")),
         ("2", "r-minus", ("-inf", "10")),
+        ("2", "r-plus", ("-5", "5")),
+        ("3", "r-minus", ("0", "10")),
+        ("2", "p", ("1", "-1")),
     ])
     def test_non_finite_grid_bound_rejected(self, capsys, tmp_path,
                                             no_matching, n, param, bounds):
+        # every swept quantity (p, r_-, r_+) must be finite and > 0
         out_file = tmp_path / "sweep.csv"
         code, out, err = run(capsys, "sweep", "--n", n, "--nu-prime", "1",
                              "--delta", "0.5", "--param", param,
                              f"--from={bounds[0]}", f"--to={bounds[1]}",
                              "--steps", "3", "--out", str(out_file))
+        bad = 0 if not 0.0 < float(bounds[0]) < math.inf else 1
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "usage error: --from and --to must be finite\n"
+        assert err == (f"usage error: argument {('--from', '--to')[bad]}: "
+                       f"invalid positive value: {bounds[bad]!r}\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("n", ["3", "4"])
+    def test_unused_r_plus_sweep_rejected(self, capsys, tmp_path,
+                                          no_matching, n):
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--n", n, "--nu-prime", "1",
+                             "--delta", "0.5", "--param", "r-plus",
+                             "--from", "1", "--to", "5", "--steps", "3",
+                             "--out", str(out_file))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"usage error: cannot sweep r_plus at N = {n}: only "
+                       "the two-body matcher uses it\n")
         assert not out_file.exists()
 
     def test_rows_match_coeffs(self, capsys, tmp_path):
@@ -446,7 +466,8 @@ class TestResidual:
 
     @pytest.mark.parametrize("option,value", [
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
-        ("--tol", "-1e-6"), ("--h", "nan"), ("--h", "-inf")])
+        ("--tol", "-1e-6"), ("--h", "nan"), ("--h", "-inf"), ("--h", "0"),
+        ("--h", "-1e-3")])
     @pytest.mark.parametrize("via_config", [False, True],
                              ids=["flag", "config"])
     def test_bad_tol_or_h_rejected(self, capsys, tmp_path, monkeypatch,
@@ -464,8 +485,7 @@ class TestResidual:
             argv.append(f"{option}={value}")
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == ("usage error: residual needs a finite --tol > 0 and "
-                       "a finite --h\n")
+        assert err == bad_option_error(option, value, "positive", via_config)
 
     def test_configs_file(self, capsys, tmp_path):
         cfg = tmp_path / "configs.json"
@@ -529,9 +549,19 @@ class TestResidual:
         assert err.startswith(f"usage error: {problem}")
 
 
-# (argv without the couplings, option, non-finite value); the argv never
-# gives the option itself, so a --config value is not overridden
-NON_FINITE_OPTIONS = [
+def bad_option_error(option, value, type_name, via_config):
+    """stderr of a value that the option's argparse type rejects."""
+    if via_config:
+        return (f"usage error: config key {option[2:]!r}: invalid "
+                f"{type_name} value {json.dumps(value)}\n")
+    return (f"usage error: argument {option}: invalid {type_name} value: "
+            f"{value!r}\n")
+
+
+# (argv without the couplings, option, non-finite or non-positive value);
+# the argv never gives the option itself, so a --config value is not
+# overridden
+BAD_OPTIONS = [
     ("coeffs --n 2", "--p", "inf"),
     ("coeffs --n 3 --p 1", "--r-plus", "nan"),
     ("coeffs --n 2 --p 1", "--r-minus", "-inf"),
@@ -542,13 +572,19 @@ NON_FINITE_OPTIONS = [
      "--r-minus", "inf"),
     ("residual --n 2", "--p", "inf"),
     ("residual --n 3", "--p", "nan"),
+    ("coeffs --n 3 --p 1", "--r-plus", "-5"),
+    ("coeffs --n 2 --p 1", "--r-minus", "-5"),
+    ("coeffs --n 2", "--p", "0"),
+    ("sweep --n 2 --param p --from 1 --to 5 --steps 3", "--r-plus", "0"),
+    ("sweep --n 3 --param p --from 1 --to 5 --steps 3", "--r-minus", "-1"),
+    ("residual --n 2", "--p", "-1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,option,value", NON_FINITE_OPTIONS,
+    "argv,option,value", BAD_OPTIONS,
     ids=[f"{a.split()[0]}-n{a.split()[2]}{o}-{v}"
-         for a, o, v in NON_FINITE_OPTIONS])
+         for a, o, v in BAD_OPTIONS])
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
 def test_non_finite_option_rejected(capsys, tmp_path, monkeypatch,
                                     no_matching, argv, option, value,
@@ -565,7 +601,52 @@ def test_non_finite_option_rejected(capsys, tmp_path, monkeypatch,
         argv.append(f"{option}={value}")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"usage error: {option} must be finite, got {value}\n"
+    assert err == bad_option_error(option, value, "positive", via_config)
+
+
+SCAN_ARGV = "scan --n 3 --samples 2 --p-max 2 --seed 1 --out {out}"
+SWEEP_ARGV = "sweep --n 2 --param p --from 1 --to 5 --steps 3"
+# (argv, coupling option); the argv gives the other couplings it needs
+COUPLING_OPTIONS = [
+    ("nu-prime --delta 0", "--g"),
+    ("nu-prime --g 2", "--delta"),
+    (SCAN_ARGV, "--nu-prime"),
+    (SCAN_ARGV, "--delta"),
+    ("coeffs --n 2 --p 1 --delta 0.5", "--g"),
+    ("coeffs --n 2 --p 1 --delta 0.5", "--nu-prime"),
+    ("coeffs --n 3 --p 1 --nu-prime 1", "--delta"),
+    (SWEEP_ARGV + " --delta 0.5", "--g"),
+    (SWEEP_ARGV + " --delta 0.5", "--nu-prime"),
+    (SWEEP_ARGV + " --nu-prime 1", "--delta"),
+    ("residual --n 2 --p 1 --delta 0.5", "--g"),
+    ("residual --n 2 --p 1 --delta 0.5", "--nu-prime"),
+    ("residual --n 3 --p 1 --nu-prime 1", "--delta"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,option", COUPLING_OPTIONS,
+    ids=[f"{a.split()[0]}{o}" for a, o in COUPLING_OPTIONS])
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_non_finite_coupling_rejected(capsys, tmp_path, monkeypatch,
+                                      no_matching, argv, option, value,
+                                      via_config):
+    def never(*args):
+        raise AssertionError("state built")
+    monkeypatch.setattr(cli, "make_scattering_state", never)
+    out_file = tmp_path / "out.csv"
+    argv = argv.format(out=out_file).split()
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option[2:]: value}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv.append(f"{option}={value}")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == bad_option_error(option, value, "finite", via_config)
+    assert not out_file.exists()
 
 
 class TestPolys:
@@ -655,7 +736,7 @@ class TestConfigAndEnv:
                                         "of R, T, deriv_mismatch"),
         ({"log": "false"}, "sweep", "'log' takes true or false, "
                                     "got \"false\""),
-        ({"k": 1.5}, "residual", "'k': invalid value 1.5"),
+        ({"k": 1.5}, "residual", "'k': invalid int value 1.5"),
     ], ids=["tol-list", "h-null", "plot-column-choice", "log-string",
             "k-float"])
     def test_config_value_checked_as_option(self, capsys, tmp_path, doc,

@@ -89,6 +89,14 @@ class TestCouplingParams:
         with pytest.raises(DomainError):
             CouplingParams(2, 5.0, 0.0, 1.0, Validity.RANGE_II)
 
+    @pytest.mark.parametrize("fields,problem", [
+        ((1, 0.0, 0.0, 1.0), "need at least 2 particles"),
+        ((2, 2.0, 0.0, -1.0), "nu_prime must be >= 0"),
+    ])
+    def test_bad_fields_rejected(self, fields, problem):
+        with pytest.raises(DomainError, match=problem):
+            CouplingParams(*fields, Validity.RANGE_II)
+
     def test_hermitian_limit_matches_undeformed(self):
         # delta = 0 reduces the quadratic to g = nu'^2 - nu'.
         p = CouplingParams.from_coupling(2, 6.0, 0.0)
