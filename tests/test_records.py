@@ -1,5 +1,5 @@
-"""Every record is an immutable named tuple with the fields, in order,
-and the Name(field=value) repr of the frozen dataclass it replaced."""
+"""Every record is an immutable named tuple with its fields in order and
+a Name(field=value) repr."""
 
 import pytest
 
