@@ -25,11 +25,7 @@ class SingularConfigurationError(DomainError):
     """Evaluation point too close to a particle-coincidence hyperplane."""
 
 
-class AsymptoticRangeError(DomainError):
-    """Argument below the validity threshold of an asymptotic form."""
-
-
-class ResourceLimitError(CalogeroError):
+class ResourceLimitError(DomainError):
     """Configured size caps (polynomial degree / particle number) exceeded."""
 
 

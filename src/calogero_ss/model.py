@@ -7,8 +7,7 @@ ground-state exponent nu' through the quadratic
 
 derives the radial indices (b', A', n', c) used by the wavefunction and
 scattering modules, and holds the finite-difference stencil of the
-Hamiltonian terms, which the eigen residual and the extensional
-PT-commutation checker share.
+Hamiltonian terms that the eigen residual applies.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from ._sums import lsum
-from .errors import (CouplingRangeError, DomainError, NoRealExponentError,
-                     SingularConfigurationError)
+from .errors import CouplingRangeError, DomainError, NoRealExponentError
 
 DISCRIMINANT_TOL = 1e-14
 ROUNDTRIP_TOL = 1e-12
@@ -148,18 +146,11 @@ def radial_indices(params: CouplingParams, k: int) -> RadialIndices:
                          n_prime=n_prime, c=params.nu_prime - b_prime)
 
 
-# --- finite-difference Hamiltonian stencil and PT-commutation checker -------
+# --- finite-difference Hamiltonian stencil -----------------------------------
 #
 # The Hamiltonian terms are applied by second-order central differences on
-# one 2N+1-point stencil, shared by the eigen residual and the PT checker.
-# No ordering of x is assumed; callers keep the stencil off the coincidence
-# hyperplanes.  PT acts on functions as (PT f)(x) = conj(f(-x)); the residual
-# |PT(T f)(x) - T(PT f)(x)| measures the commutator extensionally.
-
-TermFn = Callable[[Callable, Sequence[float], float], complex]
-
-HAMILTONIAN_TERMS = ("kinetic", "inverse_square", "momentum_deformation")
-
+# one 2N+1-point stencil.  No ordering of x is assumed; callers keep the
+# stencil off the coincidence hyperplanes.
 
 def stencil_values(f: Callable[[tuple], complex], x: Sequence[float],
                    h: float) -> tuple[list[complex], list[complex]]:
@@ -188,48 +179,3 @@ def terms_from_stencil(x: Sequence[float], center: complex,
         (plus[j] - minus[j]) / (2.0 * h) / (x[j] - x[m])
         for j in range(n) for m in range(n) if j != m)
     return kinetic, inv_sq, deform
-
-
-def _min_pair_gap(x: Sequence[float]) -> float:
-    n = len(x)
-    return min(abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n))
-
-
-def pt_invariance_residual(term: str | TermFn,
-                           testfn: Callable[[tuple], complex],
-                           sample: Sequence[float], *,
-                           g: float = 1.0, delta: float = 0.5,
-                           h: float = 1e-4, min_gap: float = 1e-6) -> float:
-    """|PT(T psi)(x) - T(PT psi)(x)| for one term T.
-
-    term names one of HAMILTONIAN_TERMS, evaluated on the stencil above,
-    or is any (f, x, h) -> value map (a control).  ~0 for every term of
-    the extended Hamiltonian.  The sample (and its parity image) must stay
-    off the coincidence hyperplanes by at least min_gap and clear of the
-    stencil width.
-    """
-    x = tuple(float(c) for c in sample)
-    gap = _min_pair_gap(x)
-    if gap < max(min_gap, 4.0 * h):
-        raise SingularConfigurationError(
-            f"sample gap {gap:.3e} too close to a coincidence hyperplane")
-    if isinstance(term, str):
-        if term not in HAMILTONIAN_TERMS:
-            raise DomainError(f"unknown Hamiltonian term {term!r}")
-        i = HAMILTONIAN_TERMS.index(term)
-
-        def op(f, y, step):
-            centre = complex(f(y))
-            plus, minus = stencil_values(f, y, step)
-            return terms_from_stencil(y, centre, plus, minus, g, delta,
-                                      step)[i]
-    else:
-        op = term
-
-    def pt_of(fn):
-        return lambda y: complex(fn(tuple(-c for c in y))).conjugate()
-
-    minus_x = tuple(-c for c in x)
-    side_apply_then_pt = complex(op(testfn, minus_x, h)).conjugate()
-    side_pt_then_apply = complex(op(pt_of(testfn), x, h))
-    return abs(side_apply_then_pt - side_pt_then_apply)

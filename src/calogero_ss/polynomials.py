@@ -308,25 +308,13 @@ def solve_generalized_laplace(n_vars: int, degree: int, lam, *,
         nullspace_dim=len(null), solutions=tuple(solutions))
 
 
-def evaluate_poly(poly: SymPolynomial, x: Sequence):
-    """Evaluate at a configuration via centered variables.
-
-    Exact when every coordinate is an int or Fraction; float otherwise.
-    The power sums q_a of y = x - mean(x) that the stored products use
-    are formed once and the products summed; centering keeps float
-    evaluation well conditioned.
-    """
-    _check_size(poly.n_vars, x)
-    if all(isinstance(c, (int, Fraction)) for c in x):
-        mean = Fraction(sum(Fraction(c) for c in x), len(x))
-        terms = list(poly.power_sums.items())
-        return _centred_sum([Fraction(c) - mean for c in x], terms,
-                            _parts_used(terms), Fraction(0))
-    return float_evaluator(poly)(x)
-
-
 def float_evaluator(poly: SymPolynomial) -> Callable[[Sequence], float]:
-    """evaluate_poly's float path with the coefficients converted once."""
+    """Float evaluator of poly at a configuration, coefficients converted once.
+
+    The power sums q_a of y = x - mean(x) that the stored products use
+    are formed once per point and the products summed; centering keeps
+    the evaluation well conditioned.
+    """
     n_vars = poly.n_vars
     terms = [(part, float(coeff)) for part, coeff in poly.power_sums.items()]
     parts = _parts_used(terms)

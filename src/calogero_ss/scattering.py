@@ -1,4 +1,4 @@
-"""Jost asymptotics, Wronskian scan, and boundary-matched coefficients.
+"""Spectral-singularity scan, boundary-matched coefficients, sweeps.
 
 The spectral-singularity test: the incoming/outgoing Jost solutions are
 pure multi-particle plane waves at large separations, so their Wronskian
@@ -6,10 +6,11 @@ along direction i factorizes into a momentum pairing factor
 (p_{N+1-i} - p_i) times the transfer-matrix entry M22 and pure phases.
 A spectral singularity needs a vanishing Wronskian at positive energy,
 which for sorted sum-zero momenta forces every p_j = 0 because M22 is
-never zero; M22 is tied to the reflection coefficient, computed here by
-matching interior Bessel profiles to plane-wave envelopes at reference
-radii.  Reflection comes out identically 1; the transmission trend is
-measured, never assumed.
+never zero; the scan therefore reports the pairing factors and decides
+the verdict from them.  M22 is tied to the reflection coefficient,
+computed here by matching interior Bessel profiles to plane-wave
+envelopes at reference radii.  Reflection comes out identically 1; the
+transmission trend is measured, never assumed.
 """
 
 from __future__ import annotations
@@ -38,78 +39,6 @@ DECAY_DROP_MIN = 10.0
 
 M22_FINITE_NONZERO = "Finite-Nonzero"
 M22_DIVERGENT = "Divergent"
-
-
-# --- Jost solutions and Wronskian --------------------------------------------
-
-class JostPair(NamedTuple):
-    """Asymptotic plane-wave descriptors of the two Jost solutions.
-
-    psi_+ -> exp(i sum p_j x_j) at large positive separations (its
-    defining normalization); psi_-, defined by the reversed-momentum
-    wave e^(i pi phi) exp(i sum x_j p_{N+1-j}) at large negative
-    separations, continues to the positive side as
-    m12 psi_+ + m22 e^(i pi phi) exp(i sum x_j p_{N+1-j}).
-    """
-    pset: MomentumSet
-    phi: float
-    m12: complex = 0j
-    m22: complex = 1.0 + 0j
-
-
-def _forward_wave(pset: MomentumSet, coords: Sequence[float]) -> complex:
-    return cmath.exp(1j * lsum(p * x for p, x in zip(pset.momenta, coords)))
-
-
-def _reversed_wave(pset: MomentumSet, phi: float,
-                   coords: Sequence[float]) -> complex:
-    return cmath.exp(1j * math.pi * phi) * cmath.exp(
-        1j * lsum(x * p for x, p in zip(coords, pset.reversed_momenta())))
-
-
-def pair_factors(pset: MomentumSet) -> tuple[float, ...]:
-    """Momentum pairing factors p_i - p_{N+1-i}, one per direction i."""
-    ms = pset.momenta
-    n = len(ms)
-    return tuple(ms[i] - ms[n - 1 - i] for i in range(n))
-
-
-def wronskian(jost: JostPair, coords: Sequence[float],
-              direction: int) -> complex:
-    """W = psi_+ d_i psi_- - psi_- d_i psi_+ from the exponential forms.
-
-    direction is 1-based.  Derivatives of the plane-wave forms are exact
-    (i p_i and i p_{N+1-i} factors).
-    """
-    n = jost.pset.n
-    if not 1 <= direction <= n:
-        raise DomainError(f"direction must be in 1..{n}")
-    if len(coords) != n:
-        raise DomainError("configuration size mismatch")
-    i = direction - 1
-    ms = jost.pset.momenta
-    e1 = _forward_wave(jost.pset, coords)
-    e2 = _reversed_wave(jost.pset, jost.phi, coords)
-    psi_p = e1
-    dpsi_p = 1j * ms[i] * e1
-    psi_m = jost.m12 * e1 + jost.m22 * e2
-    dpsi_m = jost.m12 * 1j * ms[i] * e1 + jost.m22 * 1j * ms[n - 1 - i] * e2
-    return psi_p * dpsi_m - psi_m * dpsi_p
-
-
-def wronskian_product_form(jost: JostPair, coords: Sequence[float],
-                           direction: int) -> complex:
-    """Factorized form i M22 (p_{N+1-i} - p_i) e^(i pi phi) E2 E1.
-
-    Derived from the defining formula above; note the pairing factor sign
-    is (p_{N+1-i} - p_i) for W[psi_+, psi_-] in this order.
-    """
-    n = jost.pset.n
-    i = direction - 1
-    ms = jost.pset.momenta
-    return 1j * jost.m22 * (ms[n - 1 - i] - ms[i]) \
-        * _reversed_wave(jost.pset, jost.phi, coords) \
-        * _forward_wave(jost.pset, coords)
 
 
 # --- momentum sampling --------------------------------------------------------
@@ -146,11 +75,18 @@ def momentum_sampler(n: int, p_min: float, p_max: float,
 
 # --- spectral-singularity scan ------------------------------------------------
 
+def pair_factors(pset: MomentumSet) -> tuple[float, ...]:
+    """Momentum pairing factors p_i - p_{N+1-i}, one per direction i."""
+    ms = pset.momenta
+    n = len(ms)
+    return tuple(ms[i] - ms[n - 1 - i] for i in range(n))
+
+
 class WronskianReport(NamedTuple):
     """Per-sample pairing factors and the singularity verdict.
 
     The verdict is the theorem, not a threshold.  By the factorization
-    above |W_i| = |M22| |p_i - p_{N+1-i}|, and M22 != 0: a = 0 would need
+    in the module docstring |W_i| = |M22| |p_i - p_{N+1-i}|, and M22 != 0: a = 0 would need
     J_b' and J'_b' to vanish at the same positive argument, and they have
     no common positive zero (DLMF 10.21(i)).  For sorted momenta the
     direction-1 factor is the spread |p_1 - p_N|, the largest of all, so
@@ -435,10 +371,12 @@ class TransmissionSweep(NamedTuple):
 
 
 def check_r_minus_grid(r_minus_values: Sequence[float]) -> None:
-    """Reject an empty or not strictly increasing r_- grid."""
+    """Reject an r_- grid a trend cannot be fitted to: fewer than two
+    values, or not strictly increasing."""
     values = list(r_minus_values)
-    if not values:
-        raise DomainError("r_minus values must not be empty")
+    if len(values) < 2:
+        raise DomainError(f"the trend check needs at least two r_minus "
+                          f"values, got {len(values)}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError("r_minus values must be strictly increasing")
 
@@ -460,7 +398,7 @@ def transmission_trend(r_minus_values: Sequence[float],
     env.reverse()
     logs = [(math.log(rm), math.log(max(e, 1e-300)))
             for rm, e in zip(values, env)]
-    slope = _lsq_slope(logs) if len(logs) >= 2 else 0.0
+    slope = _lsq_slope(logs)
     first, last = env[0], env[-1]
     decayed = slope <= DECAY_SLOPE_MAX and first >= DECAY_DROP_MIN * last
     return TrendSummary(slope, first, last, decayed)

@@ -141,18 +141,6 @@ def bessel_j(order: float, x: float) -> float:
     return bessel_eval(order, x)[0]
 
 
-def asymptotic_threshold(order: float, max_rel_error: float = 1e-6) -> float:
-    """Smallest x at which the leading asymptotic term meets max_rel_error.
-
-    The first neglected contribution is the Q term, |4 nu^2 - 1| / (8x) in
-    units of the envelope; half-integer orders 1/2 make it vanish exactly.
-    """
-    lead = abs(4.0 * order * order - 1.0) / 8.0
-    if lead == 0.0:
-        return 0.0
-    return lead / max_rel_error
-
-
 def bessel_eval(order: float, x: float) -> tuple[float, float]:
     """(J, dJ/dx) at x > 0 together, from one ladder pass."""
     if not (math.isfinite(order) and math.isfinite(x)) or x <= 0.0:

@@ -8,8 +8,8 @@ tuple of channels, one per (degree k, solution index q):
 with r the translation-invariant hyper-radius, b'_k from the model module
 and P_kq a generalized-Laplace solution at lambda = nu' - delta.  A channel
 record holds k, b'_k, the float evaluator of P_kq (None at k = 0) and c_kq;
-single states (c = 1), superpositions (c = p^n' Ct), the large-r waves and
-the matcher's ray profile all read these records.
+single states (c = 1) and the matcher's ray profile (c = Ct) read these
+records.
 
 All wavefunction values are returned as complex even when analytically
 real, so the deformed phases flow through one code path.  The residual
@@ -18,7 +18,6 @@ applies the Hamiltonian on the model's central-difference stencil.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -26,12 +25,11 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import polynomials
 from ._sums import lsum
-from .errors import (AsymptoticRangeError, DomainError,
-                     SingularConfigurationError)
+from .errors import DomainError, SingularConfigurationError
 from .model import (CouplingParams, radial_indices, stencil_values,
                     terms_from_stencil)
 from .polynomials import SymPolynomial, float_evaluator
-from .specialfn import asymptotic_threshold, bessel_j
+from .specialfn import bessel_j
 
 NEAR_NODE_GUARD = 1e-8
 
@@ -67,10 +65,6 @@ class MomentumSet(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.momenta)
-
-    def reversed_momenta(self) -> tuple[float, ...]:
-        """p_{N+1-j} pairing used by the outgoing wave."""
-        return tuple(reversed(self.momenta))
 
 
 def reference_momentum_set(n: int, p: float) -> MomentumSet:
@@ -184,20 +178,6 @@ def make_scattering_state(params: CouplingParams, pset: MomentumSet,
     return _state_evaluator(params, pset.p, _channels(params, {(k, q): 1.0}))
 
 
-def make_general_state(params: CouplingParams, pset: MomentumSet,
-                       entries: Mapping[tuple[int, int], complex]
-                       ) -> Callable[[tuple], complex]:
-    """Callable psi(coords) for the superposition {(k, q): Ct}.
-
-    The full coefficients are p^n' * Ct, with n' the k = 0 index.
-    """
-    if pset.p <= 0.0:
-        raise DomainError("scattering states need p > 0")
-    scale = pset.p ** radial_indices(params, 0).n_prime
-    return _state_evaluator(params, pset.p, _channels(
-        params, {kq: scale * c for kq, c in entries.items()}))
-
-
 def _state_evaluator(params: CouplingParams, p: float,
                      channels: Sequence[_Channel]
                      ) -> Callable[[tuple], complex]:
@@ -205,7 +185,7 @@ def _state_evaluator(params: CouplingParams, p: float,
 
     Per point the pair differences give the ordering check, the Jastrow
     product and r.  A unit channel's value is bit for bit the composition
-    of ground_state, radial_coordinate, radial_solution and evaluate_poly.
+    of ground_state, radial_coordinate, radial_solution and float_evaluator.
     """
     n = params.n_particles
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -227,45 +207,6 @@ def _state_evaluator(params: CouplingParams, p: float,
             total += ch.coeff * value
         return total
     return psi
-
-
-def asymptotic_wave(x, pset: MomentumSet,
-                    entries: Mapping[tuple[int, int], complex],
-                    params: CouplingParams, sign: int,
-                    max_rel_error: float = 1e-3) -> complex:
-    """Incoming (+) / outgoing (-) large-r wave of the superposition.
-
-    Literal evaluation of
-
-        (2 pi r)^(-1/2) p^(n'-1/2) Jastrow r^(-A')
-          * sum_kq Ct_kq r^(-k) P_kq(x) exp(+-i (b'+1/2) pi/2 -+ i p r);
-
-    psi_+ + psi_- approaches the full superposition as p r grows.  Raises
-    AsymptoticRangeError when p r is below the Bessel asymptotic threshold
-    at max_rel_error for any participating order.
-    """
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    coords = _coords_of(x)
-    r = radial_coordinate(coords)
-    pr = pset.p * r
-    channels = _channels(params, entries)
-    for ch in channels:
-        thr = asymptotic_threshold(ch.b_prime, max_rel_error)
-        if pr < thr:
-            raise AsymptoticRangeError(
-                f"p*r = {pr:.6g} below asymptotic threshold {thr:.6g} "
-                f"(degree {ch.k})")
-    idx0 = radial_indices(params, 0)
-    envelope = (2.0 * math.pi * r) ** -0.5 * pset.p ** (idx0.n_prime - 0.5) \
-        * ground_state(coords, params.nu_prime) * r ** (-idx0.a_prime)
-    total = 0j
-    for ch in channels:
-        phase = cmath.exp(sign * 1j * (ch.b_prime + 0.5) * math.pi / 2.0
-                          - sign * 1j * pr)
-        pval = 1.0 if ch.poly is None else ch.poly(coords)
-        total += ch.coeff * r ** (-ch.k) * pval * phase
-    return envelope * total
 
 
 # --- finite-difference eigen residual ----------------------------------------

@@ -11,16 +11,15 @@ import mpmath as mp
 from conftest import (GENERIC_LAMBDAS, control_ix1, control_x1,
                       gap_band_samples, symmetric_pset)
 from expanded_oracle import euler_defect, translation_defect
+from oracles import JostPair, pt_invariance_residual, wronskian
 
 import calogero_ss.cli as cli
 from calogero_ss.model import (CouplingParams, Validity, classify_validity,
-                               coupling_from_exponent,
-                               pt_invariance_residual, solve_nu_prime)
+                               coupling_from_exponent, solve_nu_prime)
 from calogero_ss.polynomials import solve_generalized_laplace
-from calogero_ss.scattering import (JostPair, match_n_body, match_two_body,
+from calogero_ss.scattering import (match_n_body, match_two_body,
                                     momentum_sampler, ss_scan,
-                                    transmission_sweep, wronskian,
-                                    wronskian_report)
+                                    transmission_sweep, wronskian_report)
 from calogero_ss.specialfn import _forward, _miller, bessel_j, switchover
 from calogero_ss.wavefunction import (MomentumSet, ground_state,
                                       make_scattering_state,

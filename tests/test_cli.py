@@ -334,6 +334,19 @@ class TestSweep:
                        f"invalid positive value: {bounds[bad]!r}\n")
         assert not out_file.exists()
 
+    def test_one_point_trend_sweep_rejected(self, capsys, tmp_path,
+                                            no_matching):
+        # one point fits no slope, so the decay claim has no evidence
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
+                             "--delta", "0.5", "--param", "r-minus",
+                             "--from", "10", "--to", "100", "--steps", "1",
+                             "--out", str(out_file))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("usage error: the trend check needs at least two "
+                       "r_minus values, got 1\n")
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("n", ["3", "4"])
     def test_unused_r_plus_sweep_rejected(self, capsys, tmp_path,
                                           no_matching, n):
@@ -684,6 +697,20 @@ class TestPolys:
         code, _, _ = run(capsys, "polys", "--n", "3", "--k", "1",
                          "--lambda", "x")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,n_vars,degree", [
+        ("polys --n 7 --k 3 --lambda 1/2", 7, 3),
+        ("residual --n 7 --nu-prime 1 --delta 0.5 --k 2 --p 1", 7, 2),
+        ("coeffs --n 3 --nu-prime 1 --delta 0.5 --p 1 --k 9", 3, 9),
+    ])
+    def test_beyond_caps_is_a_usage_error(self, capsys, argv, n_vars,
+                                          degree):
+        # a size the solver refuses is a request out of range, not a
+        # numerical failure
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"usage error: (n_vars={n_vars}, degree={degree}) "
+                       "beyond caps (6, 8)\n")
 
 
 class TestConfigAndEnv:

@@ -6,13 +6,14 @@ import random
 
 import pytest
 from conftest import control_ix1, control_x1
+from oracles import pt_invariance_residual
 
 from calogero_ss.errors import (CouplingRangeError, DomainError,
                                 NoRealExponentError,
                                 SingularConfigurationError)
 from calogero_ss.model import (CouplingParams, Validity, classify_validity,
-                               coupling_from_exponent, pt_invariance_residual,
-                               radial_indices, solve_nu_prime)
+                               coupling_from_exponent, radial_indices,
+                               solve_nu_prime)
 
 
 class TestSolveNuPrime:

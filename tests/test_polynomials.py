@@ -7,9 +7,10 @@ from conftest import GENERIC_LAMBDAS
 from expanded_oracle import (_compress_symmetric, apply_laplace_operator,
                              euler_defect, expand, expanded_candidates,
                              translation_defect)
+from oracles import evaluate_poly
 
 from calogero_ss.errors import DomainError, ResourceLimitError
-from calogero_ss.polynomials import (_partitions_min2, evaluate_poly,
+from calogero_ss.polynomials import (_partitions_min2, float_evaluator,
                                      partition_order_key,
                                      solve_generalized_laplace,
                                      ti_symmetric_basis)
@@ -159,7 +160,7 @@ class TestDegeneracy:
 class TestEvaluate:
     def test_constant(self):
         one = ti_symmetric_basis(3, 0)[0]
-        assert evaluate_poly(one, (5.0, 2.0, -1.0)) == 1.0
+        assert float_evaluator(one)((5.0, 2.0, -1.0)) == 1.0
 
     def test_cubic_odd_sample(self):
         p3 = solve_generalized_laplace(3, 3, Fraction(7, 10)).solutions[0]
@@ -177,8 +178,8 @@ class TestEvaluate:
 
     def test_translation_invariance_numeric(self):
         p3 = solve_generalized_laplace(3, 3, Fraction(7, 10)).solutions[0]
-        a = evaluate_poly(p3, (3.0, 1.0, 0.5))
-        b = evaluate_poly(p3, (3.0 + 10.0, 1.0 + 10.0, 0.5 + 10.0))
+        a = float_evaluator(p3)((3.0, 1.0, 0.5))
+        b = float_evaluator(p3)((3.0 + 10.0, 1.0 + 10.0, 0.5 + 10.0))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_exact_rational_path(self):
@@ -190,7 +191,7 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         one = ti_symmetric_basis(3, 0)[0]
         with pytest.raises(DomainError):
-            evaluate_poly(one, (1.0, 2.0))
+            float_evaluator(one)((1.0, 2.0))
 
 
 class TestExpandedOracle:
@@ -221,5 +222,5 @@ class TestExpandedOracle:
                     term *= base ** e
                 direct += term
             assert evaluate_poly(sol, x) == direct
-            assert evaluate_poly(sol, [float(v) for v in x]) == \
+            assert float_evaluator(sol)([float(v) for v in x]) == \
                 pytest.approx(float(direct), rel=1e-9, abs=1e-9)

@@ -2,10 +2,11 @@
 a Name(field=value) repr."""
 
 import pytest
+from oracles import JostPair
 
 from calogero_ss.model import CouplingParams, ExponentRoots, RadialIndices
 from calogero_ss.polynomials import LaplaceSystem, SymPolynomial
-from calogero_ss.scattering import (JostPair, ScanSummary, ScatteringMatch,
+from calogero_ss.scattering import (ScanSummary, ScatteringMatch,
                                     TransmissionSweep, TrendSummary,
                                     WronskianReport)
 from calogero_ss.wavefunction import MomentumSet, _Channel

@@ -6,13 +6,16 @@ import random
 
 import pytest
 from conftest import symmetric_pset
+from oracles import (JostPair, make_general_state, wronskian,
+                     wronskian_product_form)
 
+import calogero_ss.scattering as scattering
 import calogero_ss.specialfn as specialfn
 from calogero_ss.errors import (DegenerateEnvelopeError, DomainError,
                                 NumericalFailureError)
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
-                                    JostPair, ScanSummary, ScatteringMatch,
+                                    ScanSummary, ScatteringMatch,
                                     _ray_profile, match_at,
                                     match_n_body, match_two_body,
                                     momentum_sampler, pair_factors,
@@ -20,10 +23,9 @@ from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     transfer_status, transmission_sweep,
                                     transmission_trend,
                                     transmitted_coefficient_readings,
-                                    wronskian, wronskian_product_form,
                                     wronskian_report)
 from calogero_ss.wavefunction import (MomentumSet, laplace_solutions,
-                                      make_general_state, radial_coordinate,
+                                      radial_coordinate,
                                       reference_momentum_set)
 
 
@@ -361,7 +363,7 @@ class TestNBodyMatch:
         assert abs(m.reflection - 1.0) < 1e-9
 
     def test_degenerate_envelope(self):
-        from calogero_ss.polynomials import evaluate_poly
+        from calogero_ss.polynomials import float_evaluator
         from calogero_ss.wavefunction import (laplace_solutions,
                                               radial_coordinate)
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
@@ -369,7 +371,7 @@ class TestNBodyMatch:
         direction = (1.0, 0.25, -1.25)
         p3 = laplace_solutions(params, 3)[0]
         r_hat = radial_coordinate(direction)
-        c3 = float(evaluate_poly(p3, direction)) / r_hat ** 3
+        c3 = float_evaluator(p3)(direction) / r_hat ** 3
         coeffs = {(0, 1): 1.0, (3, 1): -1.0 / c3}
         with pytest.raises(DegenerateEnvelopeError):
             match_n_body(params, pset, coeffs, r_minus=80.0,
@@ -510,6 +512,20 @@ class TestTransmissionSweep:
             transmission_trend([], [])
         with pytest.raises(DomainError):
             transmission_sweep(params, "r_minus", [], p=1.0, r_plus=5.0)
+
+    def test_one_point_grid_rejected(self, monkeypatch):
+        # one point fits no slope: refused before any matching, while an
+        # N = 3 sweep, which has no trend check, takes one point
+        params = CouplingParams.from_exponent(2, 1.0, 0.5)
+        three = CouplingParams.from_exponent(3, 1.0, 0.5)
+        assert transmission_sweep(three, "r_minus", [40.0],
+                                  k=3).trend is None
+        with pytest.raises(DomainError, match="got 1"):
+            transmission_trend([10.0], [0.5])
+        monkeypatch.setattr(scattering, "bessel_eval", None)
+        with pytest.raises(DomainError, match="the trend check needs at "
+                           "least two r_minus values, got 1"):
+            transmission_sweep(params, "r_minus", [10.0], p=1.0, r_plus=5.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError, match="3 r_minus values but 1"):

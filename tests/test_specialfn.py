@@ -4,12 +4,13 @@ import math
 
 import mpmath as mp
 import pytest
+from oracles import asymptotic_threshold
 
 from calogero_ss import specialfn
 from calogero_ss.errors import DomainError
 from calogero_ss.specialfn import (REL_TARGET, _asymptotic_value, _forward,
-                                   _miller, asymptotic_threshold, bessel_eval,
-                                   bessel_j, switchover)
+                                   _miller, bessel_eval, bessel_j,
+                                   switchover)
 
 mp.mp.dps = 30
 

@@ -5,16 +5,15 @@ import math
 
 import pytest
 from conftest import gap_band_samples, symmetric_pset
+from oracles import (AsymptoticRangeError, asymptotic_wave, forward_wave,
+                     make_general_state, reversed_momenta, reversed_wave)
 
-from calogero_ss.errors import (AsymptoticRangeError, DomainError,
-                                SingularConfigurationError)
+from calogero_ss.errors import DomainError, SingularConfigurationError
 from calogero_ss.model import CouplingParams, radial_indices
-from calogero_ss.polynomials import evaluate_poly
-from calogero_ss.scattering import _forward_wave, _reversed_wave
+from calogero_ss.polynomials import float_evaluator
 from calogero_ss.specialfn import bessel_j
-from calogero_ss.wavefunction import (MomentumSet, asymptotic_wave,
-                                      ground_state, laplace_solutions,
-                                      make_general_state,
+from calogero_ss.wavefunction import (MomentumSet, ground_state,
+                                      laplace_solutions,
                                       make_scattering_state,
                                       radial_coordinate, radial_solution,
                                       reference_momentum_set,
@@ -25,7 +24,7 @@ class TestMomentumSet:
     def test_basic(self):
         ms = MomentumSet.from_momenta((-1.0, 0.0, 1.0))
         assert ms.p == pytest.approx(math.sqrt(2.0))
-        assert ms.reversed_momenta() == (1.0, 0.0, -1.0)
+        assert reversed_momenta(ms) == (1.0, 0.0, -1.0)
 
     def test_sorted_required(self):
         with pytest.raises(DomainError):
@@ -177,7 +176,7 @@ class TestEigenfunctions:
 
 class TestStateEvaluator:
     # the evaluator fuses ground_state, radial_coordinate, radial_solution
-    # and evaluate_poly; every value must equal their composition exactly
+    # and float_evaluator; every value must equal their composition exactly
     @pytest.mark.parametrize("n,k,nu,delta", [(2, 0, 1.0, 0.0),
                                               (3, 3, 2.0, 0.25),
                                               (4, 4, 0.5, 0.25),
@@ -193,7 +192,7 @@ class TestStateEvaluator:
             value = ground_state(x, nu) * radial_solution(
                 radial_coordinate(x), pset.p, b_prime)
             if poly is not None:
-                value *= float(evaluate_poly(poly, x))
+                value *= float_evaluator(poly)(x)
             assert psi(x) == complex(value)
 
     @pytest.mark.parametrize("k", [0, 3])
@@ -427,19 +426,19 @@ class TestPlaneWaves:
     def test_zero_phase(self):
         # equal coordinates with opposite momenta: sum p_j x_j = 0 exactly
         pset = MomentumSet.from_momenta((-1.0, 1.0))
-        val = _forward_wave(pset, (3.0, 3.0))
+        val = forward_wave(pset, (3.0, 3.0))
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_outgoing_phase_two_body(self):
         pset = MomentumSet.from_momenta((-1.0, 1.0))
         # the outgoing phase exp(-i pi nu' N(N-1)/2) is phi = -nu' N(N-1)/2;
         # nu' = 1/2, N = 2 gives -i at vanishing exponent sum
-        val = _reversed_wave(pset, -0.5, (0.0, 0.0))
+        val = reversed_wave(pset, -0.5, (0.0, 0.0))
         assert val == pytest.approx(-1j, abs=1e-12)
 
     def test_pure_phases(self):
         pset = MomentumSet.from_momenta((-2.0, -1.0, 3.0))
         for x in [(2.0, 0.5, -1.0), (10.0, 3.0, -4.0)]:
-            assert abs(_forward_wave(pset, x)) == pytest.approx(1.0)
-            assert abs(_reversed_wave(pset, -1.3 * 3, x)) == \
+            assert abs(forward_wave(pset, x)) == pytest.approx(1.0)
+            assert abs(reversed_wave(pset, -1.3 * 3, x)) == \
                 pytest.approx(1.0)
