@@ -21,9 +21,8 @@ from .polynomials import (LaplaceSystem, SymPolynomial,
 from .scattering import (ScanSummary, ScatteringMatch, TransmissionSweep,
                          TrendSummary, WronskianReport, m22_status,
                          match_n_body, match_two_body, momentum_sampler,
-                         pair_factors, sample_momenta, ss_scan,
-                         transmission_sweep, transmission_trend,
-                         wronskian_report)
+                         sample_momenta, ss_scan, transmission_sweep,
+                         transmission_trend, wronskian_report)
 from .specialfn import bessel_eval, bessel_j
 from .wavefunction import (MomentumSet, ground_state, make_scattering_state,
                            radial_coordinate, radial_solution,

@@ -144,10 +144,10 @@ def cmd_scan(args) -> int:
     rows = []
     for idx, rep in enumerate(summary.reports):
         # min_w_magnitude is |M22| times the pairing factor, with M22 = 1
-        min_factor = _f17(rep.min_pair_factor)
-        rows.append(",".join([
-            str(idx), _f17(rep.pset.p), min_factor, min_factor,
-            rep.m22_status, "true" if rep.ss_verdict else "false"]))
+        min_factor = f"{rep.min_pair_factor:.17e}"
+        rows.append(f"{idx},{rep.pset.p:.17e},{min_factor},{min_factor},"
+                    f"{rep.m22_status},"
+                    f"{'true' if rep.ss_verdict else 'false'}")
     metadata = _convention_metadata()
     metadata.update({
         "n": str(args.n), "samples": str(args.samples),
@@ -201,6 +201,8 @@ def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
     if steps < 1:
         raise UsageError("--steps must be >= 1")
     if steps == 1:
+        if start != stop:
+            raise UsageError("--steps 1 needs --from equal to --to")
         return [start]
     if log:
         la, lb = math.log(start), math.log(stop)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from itertools import repeat
+from operator import attrgetter, mul, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._sums import lsum
@@ -48,16 +50,18 @@ def sample_momenta(n: int, rng: random.Random, p: float) -> MomentumSet:
     if p <= 0.0:
         raise DomainError("need p > 0")
     while True:
-        draws = [rng.uniform(-1.0, 1.0) for _ in range(n - 1)]
+        # -1 + 2 u is the documented value of rng.uniform(-1.0, 1.0)
+        draws = [-1.0 + 2.0 * rng.random() for _ in range(n - 1)]
         vec = draws + [-lsum(draws)]
-        norm = math.sqrt(lsum(v * v for v in vec))
+        norm = math.sqrt(lsum(map(mul, vec, vec)))
         if norm > 1e-12:
             break
-    vec = sorted(v * (p / norm) for v in vec)
-    # exact sum-zero restoration after rescaling rounding
+    scale = p / norm
+    vec = sorted([v * scale for v in vec])
+    # exact sum-zero restoration after rescaling rounding; a common shift
+    # keeps the order
     shift = lsum(vec) / n
-    vec = [v - shift for v in vec]
-    return MomentumSet.from_momenta(sorted(vec))
+    return MomentumSet.from_momenta([v - shift for v in vec])
 
 
 def momentum_sampler(n: int, p_min: float, p_max: float,
@@ -75,13 +79,6 @@ def momentum_sampler(n: int, p_min: float, p_max: float,
 
 # --- spectral-singularity scan ------------------------------------------------
 
-def pair_factors(pset: MomentumSet) -> tuple[float, ...]:
-    """Momentum pairing factors p_i - p_{N+1-i}, one per direction i."""
-    ms = pset.momenta
-    n = len(ms)
-    return tuple(ms[i] - ms[n - 1 - i] for i in range(n))
-
-
 class WronskianReport(NamedTuple):
     """Per-sample pairing factors and the singularity verdict.
 
@@ -94,7 +91,8 @@ class WronskianReport(NamedTuple):
     means every momentum is 0.  The verdict is therefore spread == 0.
     Self-paired middle directions of odd N vanish structurally; they are
     reported in pair_factors but are not live.  min_pair_factor is the
-    smallest live |factor|.
+    smallest live |factor|, taken over the first floor(N/2), since
+    |p_i - p_(N+1-i)| = |p_(N+1-i) - p_i|.
     """
     pset: MomentumSet
     pair_factors: tuple[float, ...]
@@ -105,13 +103,12 @@ class WronskianReport(NamedTuple):
 
 def wronskian_report(pset: MomentumSet,
                      m22_status: str = M22_FINITE_NONZERO) -> WronskianReport:
-    factors = pair_factors(pset)
-    n = len(factors)
-    live = [abs(factors[i]) for i in range(n) if i != n - 1 - i]
-    return WronskianReport(pset=pset, pair_factors=factors,
-                           min_pair_factor=min(live),
-                           m22_status=m22_status,
-                           ss_verdict=factors[0] == 0.0)
+    """Pairing factors p_i - p_(N+1-i), one per direction i, and verdict."""
+    ms = pset.momenta
+    factors = tuple(map(sub, ms, ms[::-1]))
+    return WronskianReport(pset, factors,
+                           min(map(abs, factors[:len(ms) // 2])),
+                           m22_status, factors[0] == 0.0)
 
 
 class ScanSummary(NamedTuple):
@@ -130,12 +127,11 @@ def ss_scan(params: CouplingParams, sampler: Callable[[], MomentumSet],
     for ps in psets:
         if ps.n != params.n_particles:
             raise DomainError("sampler produced wrong particle count")
-    reports = tuple(wronskian_report(ps, status) for ps in psets)
-    return ScanSummary(reports=reports,
-                       min_pair_factor=min((r.min_pair_factor
-                                            for r in reports),
-                                           default=math.inf),
-                       ss_count=sum(r.ss_verdict for r in reports))
+    reports = tuple(map(wronskian_report, psets, repeat(status)))
+    return ScanSummary(reports,
+                       min(map(attrgetter("min_pair_factor"), reports),
+                           default=math.inf),
+                       sum(map(attrgetter("ss_verdict"), reports)))
 
 
 # --- boundary matching --------------------------------------------------------

@@ -73,7 +73,12 @@ def _miller(nu0: float, top: int, x: float) -> tuple[float, float]:
     """(J_(nu0+top-1), J_(nu0+top)) at x by Miller's backward recurrence.
 
     The Neumann sum over w_0 = Gamma(nu0 + 1) is nested on the way down:
-    f_0 + A_1 with A_j = ((nu0 + 2j) f_2j + (nu0 + j) A_(j+1)) / j.
+    f_0 + A_1 with A_j = ((nu0 + 2j) f_2j + (nu0 + j) A_(j+1)) / j, which
+    equals 2 f_2j + A_(j+1) + nu0 (f_2j + A_(j+1)) / j.  In the scaled
+    integers only that last term is floored, so each even step gives the
+    same integer as the first form with one big multiply fewer (a multiply
+    by 0 at nu0 = 0).  The steps run in even/odd pairs: e holds f at the
+    even index k, o at the odd index k - 1.
     """
     bits = 80
     reach = max(top, x)
@@ -81,19 +86,22 @@ def _miller(nu0: float, top: int, x: float) -> tuple[float, float]:
     (vn, vd), (xn, xd) = nu0.as_integer_ratio(), x.as_integer_ratio()
     unit = (2 * xd << bits) // xn  # 2/x
     coef = vn * unit // vd + m * unit  # 2(nu0+k)/x at k = m
-    f_up, f, total = 0, 1 << bits, 0
-    for k in range(m, 0, -1):
-        if k % 2 == 0:
-            j = k // 2
-            total = ((vn + k * vd) * f + (vn + j * vd) * total) // (j * vd)
-        f, f_up = (coef * f >> bits) - f_up, f
+    o, e, total = 0, 1 << bits, 0
+    for k in range(m, 0, -2):
+        s = e + total
+        total = s + e + vn * s // (k // 2 * vd)
+        o = (coef * e >> bits) - o
         coef -= unit
         if k == top:
-            lo, hi = f, f_up
+            lo, hi = o, e
+        e = (coef * o >> bits) - e
+        coef -= unit
+        if k - 1 == top:
+            lo, hi = e, o
     # one rounding per result: the scale enters as exact float ratios
     pn, pd = ((0.5 * x) ** nu0).as_integer_ratio()
     gn, gd = math.gamma(nu0 + 1.0).as_integer_ratio()
-    num, den = pn * gd, pd * gn * (f + total)
+    num, den = pn * gd, pd * gn * (e + total)
     return num * lo / den, num * hi / den
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import gt, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import polynomials
@@ -48,15 +49,15 @@ class MomentumSet(NamedTuple):
 
     @classmethod
     def from_momenta(cls, momenta: Sequence[float]) -> "MomentumSet":
-        ms = tuple(float(v) for v in momenta)
+        ms = tuple(map(float, momenta))
         if len(ms) < 2:
             raise DomainError("need at least two momenta")
-        if any(ms[j] > ms[j + 1] for j in range(len(ms) - 1)):
+        if any(map(gt, ms, ms[1:])):  # False at a nan, like ms[j] > ms[j+1]
             raise DomainError("momenta must be sorted ascending")
-        big = max(abs(v) for v in ms)
-        if abs(lsum(ms)) > SUM_ZERO_TOL * len(ms) * max(big, 1.0):
-            raise DomainError(f"momenta must sum to zero, got {lsum(ms):.3e}")
-        p = math.sqrt(lsum(v * v for v in ms))
+        total = lsum(ms)
+        if abs(total) > SUM_ZERO_TOL * len(ms) * max(max(map(abs, ms)), 1.0):
+            raise DomainError(f"momenta must sum to zero, got {total:.3e}")
+        p = math.sqrt(lsum(map(mul, ms, ms)))
         if not math.isfinite(p):  # any nan or inf momentum lands here
             raise DomainError("momenta and their magnitude must be finite, "
                               f"got p = {p}")
@@ -156,10 +157,14 @@ class _Channel(NamedTuple):
 def _channels(params: CouplingParams,
               entries: Mapping[tuple[int, int], complex]
               ) -> tuple[_Channel, ...]:
-    """One channel per (k, q) entry; zero degeneracy and q are checked."""
+    """One channel per (k, q) entry; zero degeneracy and q are checked.
+
+    Degree 0 has the one solution 1 at every N and lambda, so it needs no
+    solve (and so no size cap).
+    """
     out = []
     for (k, q), coeff in entries.items():
-        sols = laplace_solutions(params, k)
+        sols = laplace_solutions(params, k) if k else (None,)
         if not sols:
             raise DomainError(f"degree {k} has zero degeneracy at these "
                               "couplings")

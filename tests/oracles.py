@@ -8,25 +8,30 @@ These are the literal formulas its results are checked against:
 * the superposition state {(k, q): Ct} and its large-r incoming/outgoing
   waves, with the Bessel asymptotic threshold that guards them;
 * the extensional PT-commutation residual of one Hamiltonian term;
-* the exact rational value of a polynomial factor.
+* the exact rational value of a polynomial factor;
+* the scan's per-sample path and the Miller pass in their first, plainer
+  forms (sampler, momentum-set check, pairing factors and report), which
+  the package's forms must match bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from calogero_ss._sums import lsum
 from calogero_ss.errors import DomainError, SingularConfigurationError
+from calogero_ss.scattering import M22_FINITE_NONZERO, WronskianReport
 from calogero_ss.model import (CouplingParams, radial_indices,
                                stencil_values, terms_from_stencil)
 from calogero_ss.polynomials import (SymPolynomial, _centred_sum,
                                      _check_size, _parts_used)
-from calogero_ss.wavefunction import (MomentumSet, _channels, _coords_of,
-                                      _state_evaluator, ground_state,
-                                      radial_coordinate)
+from calogero_ss.wavefunction import (SUM_ZERO_TOL, MomentumSet, _channels,
+                                      _coords_of, _state_evaluator,
+                                      ground_state, radial_coordinate)
 
 
 # --- Jost solutions and Wronskian --------------------------------------------
@@ -237,3 +242,88 @@ def evaluate_poly(poly: SymPolynomial, x: Sequence) -> Fraction:
     terms = list(poly.power_sums.items())
     return _centred_sum([Fraction(c) - mean for c in x], terms,
                         _parts_used(terms), Fraction(0))
+
+
+# --- the scan's per-sample path -----------------------------------------------
+
+def from_momenta(momenta: Sequence[float]) -> MomentumSet:
+    """MomentumSet.from_momenta with one generator pass per check."""
+    ms = tuple(float(v) for v in momenta)
+    if len(ms) < 2:
+        raise DomainError("need at least two momenta")
+    if any(ms[j] > ms[j + 1] for j in range(len(ms) - 1)):
+        raise DomainError("momenta must be sorted ascending")
+    big = max(abs(v) for v in ms)
+    if abs(lsum(ms)) > SUM_ZERO_TOL * len(ms) * max(big, 1.0):
+        raise DomainError(f"momenta must sum to zero, got {lsum(ms):.3e}")
+    p = math.sqrt(lsum(v * v for v in ms))
+    if not math.isfinite(p):  # any nan or inf momentum lands here
+        raise DomainError("momenta and their magnitude must be finite, "
+                          f"got p = {p}")
+    return MomentumSet(ms, p)
+
+
+def sample_momenta(n: int, rng: random.Random, p: float) -> MomentumSet:
+    """Sorted sum-zero momenta rescaled to radial magnitude p."""
+    if p <= 0.0:
+        raise DomainError("need p > 0")
+    while True:
+        draws = [rng.uniform(-1.0, 1.0) for _ in range(n - 1)]
+        vec = draws + [-lsum(draws)]
+        norm = math.sqrt(lsum(v * v for v in vec))
+        if norm > 1e-12:
+            break
+    vec = sorted(v * (p / norm) for v in vec)
+    # exact sum-zero restoration after rescaling rounding
+    shift = lsum(vec) / n
+    vec = [v - shift for v in vec]
+    return from_momenta(sorted(vec))
+
+
+def pair_factors(pset: MomentumSet) -> tuple[float, ...]:
+    """Momentum pairing factors p_i - p_{N+1-i}, one per direction i."""
+    ms = pset.momenta
+    n = len(ms)
+    return tuple(ms[i] - ms[n - 1 - i] for i in range(n))
+
+
+def wronskian_report(pset: MomentumSet,
+                     m22_status: str = M22_FINITE_NONZERO) -> WronskianReport:
+    """The report with the live minimum over every non-self-paired i."""
+    factors = pair_factors(pset)
+    n = len(factors)
+    live = [abs(factors[i]) for i in range(n) if i != n - 1 - i]
+    return WronskianReport(pset=pset, pair_factors=factors,
+                           min_pair_factor=min(live),
+                           m22_status=m22_status,
+                           ss_verdict=factors[0] == 0.0)
+
+
+# --- Miller's backward recurrence ---------------------------------------------
+
+def miller(nu0: float, top: int, x: float) -> tuple[float, float]:
+    """(J_(nu0+top-1), J_(nu0+top)) at x by Miller's backward recurrence.
+
+    The Neumann sum over w_0 = Gamma(nu0 + 1) is nested on the way down:
+    f_0 + A_1 with A_j = ((nu0 + 2j) f_2j + (nu0 + j) A_(j+1)) / j.
+    """
+    bits = 80
+    reach = max(top, x)
+    m = 2 * math.ceil((reach + 20.0 + 3.0 * math.sqrt(reach)) / 2)
+    (vn, vd), (xn, xd) = nu0.as_integer_ratio(), x.as_integer_ratio()
+    unit = (2 * xd << bits) // xn  # 2/x
+    coef = vn * unit // vd + m * unit  # 2(nu0+k)/x at k = m
+    f_up, f, total = 0, 1 << bits, 0
+    for k in range(m, 0, -1):
+        if k % 2 == 0:
+            j = k // 2
+            total = ((vn + k * vd) * f + (vn + j * vd) * total) // (j * vd)
+        f, f_up = (coef * f >> bits) - f_up, f
+        coef -= unit
+        if k == top:
+            lo, hi = f, f_up
+    # one rounding per result: the scale enters as exact float ratios
+    pn, pd = ((0.5 * x) ** nu0).as_integer_ratio()
+    gn, gd = math.gamma(nu0 + 1.0).as_integer_ratio()
+    num, den = pn * gd, pd * gn * (f + total)
+    return num * lo / den, num * hi / den

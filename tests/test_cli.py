@@ -11,6 +11,7 @@ import pytest
 
 import calogero_ss.cli as cli
 import calogero_ss.scattering as scattering
+import calogero_ss.wavefunction as wavefunction
 from calogero_ss.cli import (COEFFS_HEADER, EXIT_CHECK_FAILED,
                              EXIT_COUPLINGS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_SS_FOUND, EXIT_USAGE, SCAN_HEADER, main)
@@ -336,16 +337,39 @@ class TestSweep:
 
     def test_one_point_trend_sweep_rejected(self, capsys, tmp_path,
                                             no_matching):
-        # one point fits no slope, so the decay claim has no evidence
+        # one point cannot reach both --from and --to; the grid is refused
+        # before the trend check, which would refuse it too
         out_file = tmp_path / "sweep.csv"
         code, out, err = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
                              "--delta", "0.5", "--param", "r-minus",
                              "--from", "10", "--to", "100", "--steps", "1",
                              "--out", str(out_file))
         assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: --steps 1 needs --from equal to --to\n"
+        assert not out_file.exists()
+
+    def test_one_point_trend_grid_rejected(self, capsys, tmp_path,
+                                           no_matching):
+        # a one-point grid that names one point still fits no slope
+        out_file = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
+                             "--delta", "0.5", "--param", "r-minus",
+                             "--from", "10", "--to", "10", "--steps", "1",
+                             "--out", str(out_file))
+        assert (code, out) == (EXIT_USAGE, "")
         assert err == ("usage error: the trend check needs at least two "
                        "r_minus values, got 1\n")
         assert not out_file.exists()
+
+    def test_one_step_with_equal_ends_runs(self, capsys):
+        # a one-point grid is allowed where it names its one point
+        code, out, err = run(capsys, "sweep", "--n", "3", "--nu-prime", "1",
+                             "--delta", "0.5", "--param", "p", "--from", "1",
+                             "--to", "1", "--steps", "1")
+        assert (code, err) == (EXIT_OK, "")
+        rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert rows[0] == COEFFS_HEADER and len(rows) == 2
+        assert rows[1].startswith("1.00000000000000000e+00,")
 
     @pytest.mark.parametrize("n", ["3", "4"])
     def test_unused_r_plus_sweep_rejected(self, capsys, tmp_path,
@@ -711,6 +735,27 @@ class TestPolys:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (f"usage error: (n_vars={n_vars}, degree={degree}) "
                        "beyond caps (6, 8)\n")
+
+    @pytest.mark.parametrize("argv", [
+        "coeffs --n 7 --nu-prime 1 --delta 0.5 --p 1",
+        "sweep --n 7 --nu-prime 1 --delta 0.5 --param p --from 1 --to 5 "
+        "--steps 2",
+        "residual --n 7 --nu-prime 1 --delta 0.5 --p 1",
+    ])
+    def test_degree_zero_needs_no_solve(self, capsys, monkeypatch, argv):
+        # the k = 0 factor is the constant 1 at every N, so the caps on the
+        # solves (polys --n 7 above, residual --n 7 --k 2) do not apply
+        monkeypatch.setattr(wavefunction, "laplace_solutions", None)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        if argv.startswith("residual"):
+            doc = json.loads(out)
+            assert doc["passed"] and 3.0 < doc["convergence_ratio"] < 4.5
+        else:
+            rows = [ln.split(",") for ln in out.splitlines()
+                    if not ln.startswith("#")][1:]
+            assert rows and all(abs(float(row[9]) - 1.0) < 1e-9
+                                for row in rows)
 
 
 class TestConfigAndEnv:

@@ -4,9 +4,10 @@ import cmath
 import math
 import random
 
+import oracles
 import pytest
 from conftest import symmetric_pset
-from oracles import (JostPair, make_general_state, wronskian,
+from oracles import (JostPair, make_general_state, pair_factors, wronskian,
                      wronskian_product_form)
 
 import calogero_ss.scattering as scattering
@@ -16,10 +17,9 @@ from calogero_ss.errors import (DegenerateEnvelopeError, DomainError,
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     ScanSummary, ScatteringMatch,
-                                    _ray_profile, match_at,
+                                    _ray_profile, m22_status, match_at,
                                     match_n_body, match_two_body,
-                                    momentum_sampler, pair_factors,
-                                    m22_status, sample_momenta, ss_scan,
+                                    momentum_sampler, sample_momenta, ss_scan,
                                     transfer_status, transmission_sweep,
                                     transmission_trend,
                                     transmitted_coefficient_readings,
@@ -188,6 +188,61 @@ class TestScan:
         summary = ss_scan(params, momentum_sampler(2, 0.01, 10.0, seed=5), 0)
         assert summary.reports == ()
         assert summary.ss_count == 0
+
+
+def _bits(values):
+    return [float.hex(v) for v in values]
+
+
+def _raised(fn, *args):
+    with pytest.raises(DomainError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+class TestPerSampleReference:
+    """The scan's per-sample path against its first forms in oracles.py:
+    the same draws, momenta, p, factors, minimum and verdict, bit for bit,
+    and the same refusals."""
+
+    def test_seeded_draws_match_bit_for_bit(self):
+        pick = random.Random(2409)
+        for _ in range(1500):
+            n = pick.randint(2, 8)
+            p = 10.0 ** pick.uniform(-3.0, 3.0)
+            seed = pick.getrandbits(32)
+            rng_new, rng_old = random.Random(seed), random.Random(seed)
+            new = sample_momenta(n, rng_new, p)
+            old = oracles.sample_momenta(n, rng_old, p)
+            assert rng_new.getstate() == rng_old.getstate()
+            assert _bits(new.momenta) + _bits([new.p]) == \
+                _bits(old.momenta) + _bits([old.p])
+            rep = wronskian_report(new, M22_DIVERGENT)
+            ref = oracles.wronskian_report(old, M22_DIVERGENT)
+            assert _bits(rep.pair_factors) == _bits(ref.pair_factors)
+            assert _bits([rep.min_pair_factor]) == _bits(
+                [ref.min_pair_factor])
+            assert (rep.m22_status, rep.ss_verdict) == (
+                ref.m22_status, ref.ss_verdict)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_zero_momenta_match(self, n):
+        zero = (0.0,) * n
+        rep = wronskian_report(MomentumSet.from_momenta(zero))
+        assert rep == oracles.wronskian_report(oracles.from_momenta(zero))
+        assert rep.ss_verdict and rep.min_pair_factor == 0.0
+
+    @pytest.mark.parametrize("p", [math.inf, 0.0, -1.0, -math.inf])
+    def test_sampler_refusals_match(self, p):
+        assert _raised(sample_momenta, 3, random.Random(1), p) == _raised(
+            oracles.sample_momenta, 3, random.Random(1), p)
+
+    @pytest.mark.parametrize("momenta", [
+        (), (1.0,), (1.0, -1.0), (-1.0, 1.5), (-math.inf, 0.0, math.inf),
+        (math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (-1e200, 0.0, 1e200)])
+    def test_momentum_set_refusals_match(self, momenta):
+        assert _raised(MomentumSet.from_momenta, momenta) == _raised(
+            oracles.from_momenta, momenta)
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Bessel kernel tests against closed forms and an extended-precision oracle."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
-from oracles import asymptotic_threshold
+from oracles import asymptotic_threshold, miller
 
 from calogero_ss import specialfn
 from calogero_ss.errors import DomainError
@@ -115,6 +116,21 @@ class TestBesselJ:
             ref = oracle_j(order, x)
             assert abs(bessel_j(order, x) - ref) <= REL_TARGET * max(
                 abs(ref), envelope(x)), (order, x)
+
+    @pytest.mark.parametrize("nu0", [0.0, 0.25, 0.5, 0.75, 1.0 / 3.0,
+                                     "random"])
+    def test_miller_matches_its_first_form(self, nu0):
+        # the paired pass with the split Neumann step computes the same
+        # integers as the one-step-at-a-time form, so the same floats
+        rng = random.Random(f"miller:{nu0}")
+        for top in range(1, 201):
+            nu = rng.random() if nu0 == "random" else nu0
+            x = rng.uniform(0.0, switchover(nu + top))
+            if x == 0.0:
+                continue
+            got = _miller(nu, top, x)
+            assert list(map(float.hex, got)) == list(
+                map(float.hex, miller(nu, top, x))), (nu, top, x)
 
     @pytest.mark.parametrize("order", [0.0, 0.25, 0.5, 1.0, 2.3, 4.5, 6.0,
                                        10.7])

@@ -8,6 +8,7 @@ from conftest import gap_band_samples, symmetric_pset
 from oracles import (AsymptoticRangeError, asymptotic_wave, forward_wave,
                      make_general_state, reversed_momenta, reversed_wave)
 
+import calogero_ss.wavefunction as wavefunction
 from calogero_ss.errors import DomainError, SingularConfigurationError
 from calogero_ss.model import CouplingParams, radial_indices
 from calogero_ss.polynomials import float_evaluator
@@ -166,6 +167,21 @@ class TestEigenfunctions:
         coeffs = {(1, 1): 1.0}
         with pytest.raises(DomainError, match="zero degeneracy"):
             make_general_state(params, pset, coeffs)
+
+    @pytest.mark.parametrize("n", [3, 6, 7])
+    def test_degree_zero_is_the_constant_without_a_solve(self, monkeypatch,
+                                                         n):
+        # the solver gives degree 0 one solution at every N it can reach,
+        # so the channel takes it as given, also beyond the caps (N = 7)
+        params = CouplingParams.from_exponent(n, 1.0, 0.5)
+        if n < 7:
+            assert len(laplace_solutions(params, 0)) == 1
+        monkeypatch.setattr(wavefunction, "laplace_solutions", None)
+        (channel,) = wavefunction._channels(params, {(0, 1): 2.0})
+        assert (channel.k, channel.poly, channel.coeff) == (0, None, 2.0)
+        with pytest.raises(DomainError, match=r"q=2 outside 1\.\.1 at "
+                                              "degree 0"):
+            wavefunction._channels(params, {(0, 2): 1.0})
 
     def test_degeneracy_lookup(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
