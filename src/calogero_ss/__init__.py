@@ -9,8 +9,7 @@ sweeps), ``cli`` (the ``calogero-ss`` executable).
 """
 
 from .errors import (CalogeroError, CouplingRangeError,
-                     DegenerateEnvelopeError, DomainError,
-                     InternalConsistencyError, NoRealExponentError,
+                     DegenerateEnvelopeError, DomainError, NoRealExponentError,
                      NumericalFailureError, ResourceLimitError,
                      SingularConfigurationError)
 from .model import (CouplingParams, ExponentRoots, RadialIndices, Validity,
@@ -20,9 +19,9 @@ from .polynomials import (LaplaceSystem, SymPolynomial,
                           solve_generalized_laplace, ti_symmetric_basis)
 from .scattering import (ScanSummary, ScatteringMatch, TransmissionSweep,
                          TrendSummary, WronskianReport, m22_status,
-                         match_n_body, match_two_body, momentum_sampler,
-                         sample_momenta, ss_scan, transmission_sweep,
-                         transmission_trend, wronskian_report)
+                         match_n_body, match_two_body, sample_momenta,
+                         ss_scan, transmission_sweep, transmission_trend,
+                         wronskian_report)
 from .specialfn import bessel_eval, bessel_j
 from .wavefunction import (MomentumSet, ground_state, make_scattering_state,
                            radial_coordinate, radial_solution,

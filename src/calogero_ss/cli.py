@@ -22,9 +22,8 @@ from ._sums import lsum
 from .errors import CalogeroError, CouplingRangeError, DomainError
 from .model import CouplingParams, Validity, solve_nu_prime
 from .polynomials import solve_generalized_laplace
-from .scattering import (ScatteringMatch, match_at, momentum_sampler,
-                         ss_scan, transmission_sweep,
-                         transmitted_coefficient_readings)
+from .scattering import (ScatteringMatch, match_at, ss_scan,
+                         transmission_sweep, transmitted_coefficient_readings)
 from .svgplot import render_line_plot
 from .wavefunction import (make_scattering_state, reference_momentum_set,
                            residual_convergence, state_energy)
@@ -139,8 +138,8 @@ def cmd_nu_prime(args) -> int:
 
 def cmd_scan(args) -> int:
     params = CouplingParams.from_exponent(args.n, args.nu_prime, args.delta)
-    sampler = momentum_sampler(args.n, args.p_min, args.p_max, args.seed)
-    summary = ss_scan(params, sampler, args.samples)
+    summary = ss_scan(params, args.p_min, args.p_max, args.seed,
+                      args.samples)
     rows = []
     for idx, rep in enumerate(summary.reports):
         # min_w_magnitude is |M22| times the pairing factor, with M22 = 1
@@ -214,6 +213,9 @@ def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
 def cmd_sweep(args) -> int:
     params = _params_from_args(args)
     grid = _grid(getattr(args, "from_"), args.to, args.steps, args.log)
+    if args.plot is not None and len(grid) < 2:
+        raise UsageError("--plot needs at least two points (--steps 2 or "
+                         "more)")
     param = args.param.replace("-", "_")
     sweep = transmission_sweep(params, param, grid, p=args.p,
                                r_minus=args.r_minus, r_plus=args.r_plus,

@@ -26,11 +26,7 @@ class SingularConfigurationError(DomainError):
 
 
 class ResourceLimitError(DomainError):
-    """Configured size caps (polynomial degree / particle number) exceeded."""
-
-
-class InternalConsistencyError(CalogeroError):
-    """An exactness assumption failed; indicates a bug, not bad input."""
+    """Size caps (polynomial degree / particle number) exceeded."""
 
 
 class DegenerateEnvelopeError(CalogeroError):

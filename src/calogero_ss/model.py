@@ -83,7 +83,6 @@ class _CouplingFields(NamedTuple):
     g: float
     delta: float
     nu_prime: float
-    validity_class: Validity
 
 
 class CouplingParams(_CouplingFields):
@@ -91,7 +90,7 @@ class CouplingParams(_CouplingFields):
     __slots__ = ()
 
     def __new__(cls, n_particles: int, g: float, delta: float,
-                nu_prime: float, validity_class: Validity):
+                nu_prime: float):
         if n_particles < 2:
             raise DomainError("need at least 2 particles")
         if nu_prime < 0.0:
@@ -101,8 +100,12 @@ class CouplingParams(_CouplingFields):
             raise DomainError(
                 f"inconsistent couplings: g={g} vs "
                 f"nu'^2 - nu'(1+2 delta) = {expected}")
-        return super().__new__(cls, n_particles, g, delta, nu_prime,
-                               validity_class)
+        return super().__new__(cls, n_particles, g, delta, nu_prime)
+
+    @property
+    def validity_class(self) -> Validity:
+        """classify_validity of (g, delta), so it cannot disagree with them."""
+        return classify_validity(self.g, self.delta)
 
     @classmethod
     def from_coupling(cls, n_particles: int, g: float,
@@ -111,14 +114,13 @@ class CouplingParams(_CouplingFields):
         if sol.validity is Validity.INVALID:
             raise CouplingRangeError(
                 f"couplings g={g}, delta={delta} outside both validity ranges")
-        return cls(n_particles, g, delta, sol.selected, sol.validity)
+        return cls(n_particles, g, delta, sol.selected)
 
     @classmethod
     def from_exponent(cls, n_particles: int, nu_prime: float,
                       delta: float) -> "CouplingParams":
-        g = coupling_from_exponent(nu_prime, delta)
-        return cls(n_particles, g, delta, nu_prime,
-                   classify_validity(g, delta))
+        return cls(n_particles, coupling_from_exponent(nu_prime, delta),
+                   delta, nu_prime)
 
 
 class RadialIndices(NamedTuple):

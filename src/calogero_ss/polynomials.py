@@ -48,8 +48,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from ._sums import lsum
 from .errors import DomainError, ResourceLimitError
 
-DEFAULT_MAX_DEGREE = 8
-DEFAULT_MAX_VARS = 6
+MAX_VARS = 6
+MAX_DEGREE = 8
 
 Monomial = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -142,21 +142,18 @@ class SymPolynomial(NamedTuple):
                       key=lambda kv: partition_order_key(kv[0]), reverse=True)
 
 
-def _check_caps(n_vars: int, degree: int, max_vars: int, max_degree: int):
+def _check_caps(n_vars: int, degree: int):
     if n_vars < 2:
         raise DomainError("need at least two variables")
     if degree < 0:
         raise DomainError("degree must be >= 0")
-    if n_vars > max_vars or degree > max_degree:
+    if n_vars > MAX_VARS or degree > MAX_DEGREE:
         raise ResourceLimitError(
             f"(n_vars={n_vars}, degree={degree}) beyond caps "
-            f"({max_vars}, {max_degree})")
+            f"({MAX_VARS}, {MAX_DEGREE})")
 
 
-def ti_symmetric_basis(n_vars: int, degree: int, *,
-                       max_vars: int = DEFAULT_MAX_VARS,
-                       max_degree: int = DEFAULT_MAX_DEGREE
-                       ) -> list[SymPolynomial]:
+def ti_symmetric_basis(n_vars: int, degree: int) -> list[SymPolynomial]:
     """Basis of symmetric homogeneous degree-k polynomials in y = x - mean.
 
     Spanning set: one power-sum product per partition of the degree into
@@ -164,7 +161,7 @@ def ti_symmetric_basis(n_vars: int, degree: int, *,
     pivot columns of the RREF keep each product not spanned by those
     before it.
     """
-    _check_caps(n_vars, degree, max_vars, max_degree)
+    _check_caps(n_vars, degree)
     candidates = [SymPolynomial(n_vars, degree, {partition: Fraction(1)})
                   for partition in _partitions_min2(degree)]
     forms = [c.coefficients for c in candidates]
@@ -199,18 +196,6 @@ def _laplace_image(poly: SymPolynomial, lam: Fraction
                 add(2 * c * a * b, others + (a + b - 2,))
                 add(Fraction(-2 * a * b, n) * c, others + (a - 1, b - 1))
     return out
-
-
-def _as_fraction(lam) -> Fraction:
-    if isinstance(lam, Fraction):
-        return lam
-    if isinstance(lam, int):
-        return Fraction(lam)
-    if isinstance(lam, float):
-        return Fraction(lam)  # exact binary-float value
-    if isinstance(lam, str):
-        return Fraction(lam)
-    raise DomainError(f"cannot interpret lambda {lam!r} as a rational")
 
 
 def _rref(matrix: list[list[Fraction]], ncols: int
@@ -279,14 +264,15 @@ class LaplaceSystem(NamedTuple):
     solutions: tuple[SymPolynomial, ...]
 
 
-def solve_generalized_laplace(n_vars: int, degree: int, lam, *,
-                              max_vars: int = DEFAULT_MAX_VARS,
-                              max_degree: int = DEFAULT_MAX_DEGREE
+def solve_generalized_laplace(n_vars: int, degree: int, lam
                               ) -> LaplaceSystem:
-    """Exact nullspace of L on the degree-k translation-invariant space."""
-    lam_f = _as_fraction(lam)
-    basis = ti_symmetric_basis(n_vars, degree, max_vars=max_vars,
-                               max_degree=max_degree)
+    """Exact nullspace of L on the degree-k translation-invariant space.
+
+    lam is anything Fraction takes (a Fraction, int, float or str); a
+    float counts as its exact binary value.
+    """
+    lam_f = Fraction(lam)
+    basis = ti_symmetric_basis(n_vars, degree)
     images = [_monomial_form(_laplace_image(b, lam_f), n_vars)
               for b in basis]
     row_keys = sorted({m for img in images for m in img},

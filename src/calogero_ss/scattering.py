@@ -20,7 +20,7 @@ import math
 import random
 from itertools import repeat
 from operator import attrgetter, mul, sub
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._sums import lsum
 from .errors import (DegenerateEnvelopeError, DomainError,
@@ -47,6 +47,8 @@ M22_DIVERGENT = "Divergent"
 
 def sample_momenta(n: int, rng: random.Random, p: float) -> MomentumSet:
     """Sorted sum-zero momenta rescaled to radial magnitude p."""
+    if n < 2:  # with no draw the norm stays 0 and the loop never ends
+        raise DomainError("need at least two momenta")
     if p <= 0.0:
         raise DomainError("need p > 0")
     while True:
@@ -62,19 +64,6 @@ def sample_momenta(n: int, rng: random.Random, p: float) -> MomentumSet:
     # keeps the order
     shift = lsum(vec) / n
     return MomentumSet.from_momenta([v - shift for v in vec])
-
-
-def momentum_sampler(n: int, p_min: float, p_max: float,
-                     seed: int) -> Callable[[], MomentumSet]:
-    """Seed-deterministic sampler over the constraint manifold."""
-    if not (math.isfinite(p_max) and 0.0 < p_min <= p_max):
-        raise DomainError("need 0 < p_min <= p_max < inf")
-    rng = random.Random(seed)
-
-    def draw() -> MomentumSet:
-        return sample_momenta(n, rng, rng.uniform(p_min, p_max))
-
-    return draw
 
 
 # --- spectral-singularity scan ------------------------------------------------
@@ -117,16 +106,21 @@ class ScanSummary(NamedTuple):
     ss_count: int
 
 
-def ss_scan(params: CouplingParams, sampler: Callable[[], MomentumSet],
+def ss_scan(params: CouplingParams, p_min: float, p_max: float, seed: int,
             n_samples: int) -> ScanSummary:
-    """Seeded nonexistence sweep; one report per sample, in sample order."""
+    """Seeded nonexistence sweep; one report per sample, in sample order.
+
+    Each sample draws its magnitude uniformly from [p_min, p_max] and then
+    its momenta, both from one random.Random(seed).
+    """
+    if not (math.isfinite(p_max) and 0.0 < p_min <= p_max):
+        raise DomainError("need 0 < p_min <= p_max < inf")
     if n_samples < 0:
         raise DomainError("n_samples must be >= 0")
     status = transfer_status(params)
-    psets = [sampler() for _ in range(n_samples)]
-    for ps in psets:
-        if ps.n != params.n_particles:
-            raise DomainError("sampler produced wrong particle count")
+    n, rng = params.n_particles, random.Random(seed)
+    psets = [sample_momenta(n, rng, rng.uniform(p_min, p_max))
+             for _ in range(n_samples)]
     reports = tuple(map(wronskian_report, psets, repeat(status)))
     return ScanSummary(reports,
                        min(map(attrgetter("min_pair_factor"), reports),

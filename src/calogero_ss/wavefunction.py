@@ -63,10 +63,6 @@ class MomentumSet(NamedTuple):
                               f"got p = {p}")
         return cls(ms, p)
 
-    @property
-    def n(self) -> int:
-        return len(self.momenta)
-
 
 def reference_momentum_set(n: int, p: float) -> MomentumSet:
     """Centered arithmetic-sequence momenta rescaled to magnitude p."""
@@ -97,22 +93,20 @@ def pair_differences(x) -> list[float]:
     return [c[i] - c[j] for i in range(n) for j in range(i + 1, n)]
 
 
-def ground_state(x, nu_prime: float, min_gap: float = 1e-12) -> float:
-    """Jastrow zero mode prod_{j<k} (x_j - x_k)^nu'.
+def ground_state(x, nu_prime: float) -> float:
+    """Jastrow zero mode prod_{j<k} (x_j - x_k)^nu', for nu' >= 0.
 
     Positive in the open sector.  Exact coincidences give 0 for nu' > 0
-    and 1 for nu' = 0; for nu' < 0 a gap below min_gap is singular.
+    and 1 for nu' = 0.
     """
-    return _jastrow(pair_differences(x), nu_prime, min_gap)
+    if nu_prime < 0.0:
+        raise DomainError("nu_prime must be >= 0")
+    return _jastrow(pair_differences(x), nu_prime)
 
 
-def _jastrow(diffs: Sequence[float], nu_prime: float,
-             min_gap: float = 1e-12) -> float:
+def _jastrow(diffs: Sequence[float], nu_prime: float) -> float:
     if any(d < 0 for d in diffs):
         raise DomainError("configuration must be ordered descending")
-    if nu_prime < 0.0 and min(diffs) < min_gap:
-        raise SingularConfigurationError(
-            f"gap {min(diffs):.3e} below {min_gap:.3e} with negative exponent")
     if nu_prime == 0.0:
         return 1.0
     result = 1.0
@@ -240,28 +234,28 @@ def state_energy(pset: MomentumSet) -> float:
     return pset.p ** 2 / 2.0
 
 
-def residual_convergence(psi: Callable[[tuple], complex], p_squared: float,
+def residual_convergence(psi: Callable[[tuple], complex], energy: float,
                          samples: Sequence, params: CouplingParams,
                          h_factor: float = 1e-3) -> tuple[float, float, float]:
     """(residual at h, residual at h/2, ratio); ~4 for a second-order stencil.
 
-    The residual is max over samples of |H psi - p^2 psi| / guard at h =
-    h_factor * (the sample's smallest gap).  Every sample is checked (N
-    finite coordinates, strictly descending) before psi is called; psi at a
-    sample is the stencil centre and the p^2 psi target at both steps, so a
-    sample costs 4N+1 psi calls.
+    The residual is max over samples of |H psi - E psi| / guard at h =
+    h_factor * (the sample's smallest gap), with E the state's energy
+    (p^2/2 for a scattering state, state_energy).  Every sample is checked
+    (N finite coordinates, strictly descending) before psi is called; psi
+    at a sample is the stencil centre and the E psi target at both steps,
+    so a sample costs 4N+1 psi calls.
 
-    The guard is |p^2 psi| floored at NEAR_NODE_GUARD times the global
-    sample scale; for p^2 = 0 (zero modes) the per-sample scale is the
+    The guard is |E psi| floored at NEAR_NODE_GUARD times the global
+    sample scale; for E = 0 (zero modes) the per-sample scale is the
     term-magnitude sum (cancellation quality), floored at the natural
     curvature scale |psi| * sum(1/gap^2) so states annihilated term by
     term do not divide by roundoff.
     """
     points = _residual_samples(samples, params.n_particles)
     centres = [complex(psi(coords)) for coords in points]
-    res_h = _residual(psi, p_squared, points, centres, params, h_factor)
-    res_h2 = _residual(psi, p_squared, points, centres, params,
-                       h_factor / 2.0)
+    res_h = _residual(psi, energy, points, centres, params, h_factor)
+    res_h2 = _residual(psi, energy, points, centres, params, h_factor / 2.0)
     return res_h, res_h2, res_h / res_h2 if res_h2 > 0 else math.inf
 
 
@@ -288,7 +282,7 @@ def _residual_samples(samples: Sequence, n: int) -> list[tuple[float, ...]]:
     return points
 
 
-def _residual(psi: Callable[[tuple], complex], p_squared: float,
+def _residual(psi: Callable[[tuple], complex], energy: float,
               points: Sequence[tuple[float, ...]], centres: Sequence[complex],
               params: CouplingParams, h_factor: float) -> float:
     """The residual at one step factor, given psi at every sample."""
@@ -301,14 +295,14 @@ def _residual(psi: Callable[[tuple], complex], p_squared: float,
         terms = terms_from_stencil(coords, psi_val, plus, minus, params.g,
                                    params.delta, h)
         hpsi = lsum(terms)
-        target = p_squared * psi_val
+        target = energy * psi_val
         term_scale = lsum(abs(t) for t in terms)
         curvature = abs(psi_val) * lsum(1.0 / (g * g) for g in gaps)
         rows.append((abs(hpsi - target), abs(target), term_scale, curvature))
     global_scale = max(t for _, t, _, _ in rows)
     out = 0.0
     for err, target_mag, term_scale, curvature in rows:
-        if p_squared == 0.0:
+        if energy == 0.0:
             denom = max(term_scale, curvature, 1e-300)
         else:
             denom = max(target_mag, NEAR_NODE_GUARD * global_scale)

@@ -13,11 +13,15 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from calogero_ss.errors import InternalConsistencyError
+from calogero_ss.errors import CalogeroError
 from calogero_ss.polynomials import SymPolynomial, _partitions_min2
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
+
+
+class InternalConsistencyError(CalogeroError):
+    """An exactness assumption failed; indicates a bug, not bad input."""
 
 
 # --- raw multivariate polynomial helpers (dict exponent-tuple -> Fraction) --

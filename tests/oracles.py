@@ -73,7 +73,7 @@ def wronskian(jost: JostPair, coords: Sequence[float],
     direction is 1-based.  Derivatives of the plane-wave forms are exact
     (i p_i and i p_{N+1-i} factors).
     """
-    n = jost.pset.n
+    n = len(jost.pset.momenta)
     if not 1 <= direction <= n:
         raise DomainError(f"direction must be in 1..{n}")
     if len(coords) != n:
@@ -96,7 +96,7 @@ def wronskian_product_form(jost: JostPair, coords: Sequence[float],
     Derived from the defining formula above; note the pairing factor sign
     is (p_{N+1-i} - p_i) for W[psi_+, psi_-] in this order.
     """
-    n = jost.pset.n
+    n = len(jost.pset.momenta)
     i = direction - 1
     ms = jost.pset.momenta
     return 1j * jost.m22 * (ms[n - 1 - i] - ms[i]) \

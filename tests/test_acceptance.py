@@ -17,8 +17,7 @@ import calogero_ss.cli as cli
 from calogero_ss.model import (CouplingParams, Validity, classify_validity,
                                coupling_from_exponent, solve_nu_prime)
 from calogero_ss.polynomials import solve_generalized_laplace
-from calogero_ss.scattering import (match_n_body, match_two_body,
-                                    momentum_sampler, ss_scan,
+from calogero_ss.scattering import (match_n_body, match_two_body, ss_scan,
                                     transmission_sweep, wronskian_report)
 from calogero_ss.specialfn import _forward, _miller, bessel_j, switchover
 from calogero_ss.wavefunction import (MomentumSet, ground_state,
@@ -63,8 +62,7 @@ def test_criterion_02_reflection_n_body():
 def test_criterion_03_ss_nonexistence_sweep():
     for n in (2, 3, 4):
         params = CouplingParams.from_exponent(n, 1.0, 0.5)
-        summary = ss_scan(params,
-                          momentum_sampler(n, 0.01, 10.0, seed=2026), 10_000)
+        summary = ss_scan(params, 0.01, 10.0, 2026, 10_000)
         assert summary.ss_count == 0, f"N={n}: singular verdicts found"
         assert summary.min_pair_factor > 0.0
     # the unique degenerate point: all momenta zero gives W = 0 exactly

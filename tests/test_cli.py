@@ -89,8 +89,8 @@ class TestScan:
         # the model admits no singular sample; force the reporting path
         real = cli.ss_scan
 
-        def fake(params, sampler, n_samples):
-            summary = real(params, sampler, n_samples)
+        def fake(params, p_min, p_max, seed, n_samples):
+            summary = real(params, p_min, p_max, seed, n_samples)
             reports = tuple(
                 r.__class__(pset=r.pset, pair_factors=r.pair_factors,
                             min_pair_factor=r.min_pair_factor,
@@ -218,6 +218,14 @@ class TestCoeffs:
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
                          "--g", "-0.3", "--delta", "-0.9")
         assert code == EXIT_COUPLINGS
+
+    def test_rounded_exponent_outside_ranges(self, capsys):
+        # g = nu'^2 - nu'(1 + 2 delta) rounds below -(delta + 1/2)^2 here
+        code, _, err = run(capsys, "coeffs", "--n", "2", "--p", "1",
+                           "--nu-prime", "0.6040065076960841",
+                           "--delta", "0.1040065076960841")
+        assert code == EXIT_COUPLINGS
+        assert "outside both validity ranges" in err
 
     def test_exclusive_parameterization(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
@@ -370,6 +378,21 @@ class TestSweep:
         rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert rows[0] == COEFFS_HEADER and len(rows) == 2
         assert rows[1].startswith("1.00000000000000000e+00,")
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_one_point_plot_rejected(self, capsys, tmp_path, no_matching,
+                                     to_file):
+        # a plot needs two points; refused before any matching or output
+        csv, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+        out_args = ("--out", str(csv)) if to_file else ()
+        code, out, err = run(capsys, "sweep", "--n", "2", "--nu-prime", "1",
+                             "--delta", "0.5", "--param", "p", "--from", "1",
+                             "--to", "1", "--steps", "1", *out_args,
+                             "--plot", str(svg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("usage error: --plot needs at least two points "
+                       "(--steps 2 or more)\n")
+        assert not csv.exists() and not svg.exists()
 
     @pytest.mark.parametrize("n", ["3", "4"])
     def test_unused_r_plus_sweep_rejected(self, capsys, tmp_path,

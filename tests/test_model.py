@@ -88,7 +88,7 @@ class TestCouplingParams:
 
     def test_consistency_enforced(self):
         with pytest.raises(DomainError):
-            CouplingParams(2, 5.0, 0.0, 1.0, Validity.RANGE_II)
+            CouplingParams(2, 5.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("fields,problem", [
         ((1, 0.0, 0.0, 1.0), "need at least 2 particles"),
@@ -96,7 +96,36 @@ class TestCouplingParams:
     ])
     def test_bad_fields_rejected(self, fields, problem):
         with pytest.raises(DomainError, match=problem):
-            CouplingParams(*fields, Validity.RANGE_II)
+            CouplingParams(*fields)
+
+    def test_validity_is_derived(self):
+        # seeded draws through both constructors: validity_class is
+        # classify_validity of the stored couplings, never a given value
+        rng = random.Random(2025)
+        params = []
+        while len(params) < 500:
+            g, delta = rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5)
+            try:
+                params.append(CouplingParams.from_coupling(2, g, delta))
+            except CouplingRangeError:
+                continue
+        params += [CouplingParams.from_exponent(
+            rng.randint(2, 6), rng.uniform(0.0, 3.0), rng.uniform(-1.5, 1.5))
+            for _ in range(500)]
+        # at nu' = delta + 1/2 the rounded g can fall below -(delta + 1/2)^2
+        params.append(CouplingParams.from_exponent(2, 0.6040065076960841,
+                                                   0.1040065076960841))
+        classes = {p.validity_class for p in params}
+        assert classes == set(Validity)
+        for p in params:
+            assert p.validity_class is classify_validity(p.g, p.delta)
+
+    def test_validity_is_not_a_field(self):
+        # (g, delta) = (0, 0) is RangeII; no fifth argument can say otherwise
+        assert CouplingParams(2, 0.0, 0.0, 0.0).validity_class \
+            is Validity.RANGE_II
+        with pytest.raises(TypeError):
+            CouplingParams(2, 0.0, 0.0, 0.0, Validity.INVALID)
 
     def test_hermitian_limit_matches_undeformed(self):
         # delta = 0 reduces the quadratic to g = nu'^2 - nu'.

@@ -63,9 +63,11 @@ class TestBasis:
     def test_caps(self):
         with pytest.raises(ResourceLimitError):
             ti_symmetric_basis(7, 2)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"beyond caps \(6, 8\)"):
             ti_symmetric_basis(3, 9)
-        assert len(ti_symmetric_basis(7, 2, max_vars=8)) == 1
+        # the caps themselves are inside: 8 = 6+2, 5+3, 4+4, 4+2+2, 3+3+2,
+        # 2+2+2+2 over the generators e_2..e_6
+        assert len(ti_symmetric_basis(6, 8)) == 6
 
 
 class TestGeneralizedLaplace:

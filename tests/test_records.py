@@ -13,8 +13,7 @@ from calogero_ss.wavefunction import MomentumSet, _Channel
 
 RECORDS = [
     (ExponentRoots, ("roots", "selected", "validity")),
-    (CouplingParams, ("n_particles", "g", "delta", "nu_prime",
-                      "validity_class")),
+    (CouplingParams, ("n_particles", "g", "delta", "nu_prime")),
     (RadialIndices, ("k", "b_prime", "a_prime", "n_prime", "c")),
     (SymPolynomial, ("n_vars", "degree", "power_sums")),
     (LaplaceSystem, ("n_vars", "degree", "lam", "basis", "constraint_matrix",

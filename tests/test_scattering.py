@@ -19,7 +19,7 @@ from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     ScanSummary, ScatteringMatch,
                                     _ray_profile, m22_status, match_at,
                                     match_n_body, match_two_body,
-                                    momentum_sampler, sample_momenta, ss_scan,
+                                    sample_momenta, ss_scan,
                                     transfer_status, transmission_sweep,
                                     transmission_trend,
                                     transmitted_coefficient_readings,
@@ -98,41 +98,70 @@ class TestPairingLemma:
 
 class TestSampler:
     def test_constraints(self):
-        draw = momentum_sampler(4, 0.01, 10.0, seed=3)
-        for _ in range(200):
-            ms = draw()
+        params = CouplingParams.from_exponent(4, 1.0, 0.5)
+        for rep in ss_scan(params, 0.01, 10.0, 3, 200).reports:
+            ms = rep.pset
             assert 0.009 <= ms.p <= 10.001
             assert abs(sum(ms.momenta)) < 1e-12 * 4 * max(
                 1.0, max(abs(v) for v in ms.momenta))
             assert list(ms.momenta) == sorted(ms.momenta)
 
     def test_seed_determinism(self):
-        a = momentum_sampler(3, 0.01, 10.0, seed=7)
-        b = momentum_sampler(3, 0.01, 10.0, seed=7)
-        for _ in range(50):
-            assert a().momenta == b().momenta
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        a = ss_scan(params, 0.01, 10.0, 7, 50)
+        b = ss_scan(params, 0.01, 10.0, 7, 50)
+        assert [r.pset.momenta for r in a.reports] == \
+            [r.pset.momenta for r in b.reports]
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_draws_follow_the_seeded_stream(self, n):
+        # one Random(seed): per sample the magnitude, then the momenta
+        params = CouplingParams.from_exponent(n, 1.0, 0.5)
+        rng = random.Random(19)
+        expected = [sample_momenta(n, rng, rng.uniform(0.5, 4.0))
+                    for _ in range(40)]
+        summary = ss_scan(params, 0.5, 4.0, 19, 40)
+        assert [r.pset for r in summary.reports] == expected
 
     def test_bad_range(self):
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
         with pytest.raises(DomainError):
-            momentum_sampler(3, 0.0, 10.0, seed=1)
+            ss_scan(params, 0.0, 10.0, 1, 5)
 
     @pytest.mark.parametrize("p_min,p_max", [
         (0.01, math.inf), (math.inf, math.inf), (0.01, math.nan)])
     def test_non_finite_bound_rejected(self, p_min, p_max):
         # an infinite p_max would draw p = inf and nan momenta
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
         with pytest.raises(DomainError):
-            momentum_sampler(3, p_min, p_max, seed=1)
+            ss_scan(params, p_min, p_max, 1, 5)
+
+    def test_range_checked_before_sample_count(self):
+        params = CouplingParams.from_exponent(3, 1.0, 0.5)
+        with pytest.raises(DomainError, match="p_min <= p_max"):
+            ss_scan(params, 2.0, 1.0, 1, -1)
+        with pytest.raises(DomainError, match="n_samples"):
+            ss_scan(params, 1.0, 2.0, 1, -1)
 
     def test_infinite_magnitude_rejected(self):
         with pytest.raises(DomainError, match="must be finite"):
             sample_momenta(3, random.Random(1), math.inf)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_particles_refused(self, n):
+        # refused before any draw: with no draws the norm stays 0, and the
+        # redraw loop would never end
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(DomainError, match="at least two momenta"):
+            sample_momenta(n, rng, 1.0)
+        assert rng.getstate() == state
+
 
 class TestScan:
     def test_no_verdicts_smoke(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        summary = ss_scan(params, momentum_sampler(3, 0.01, 10.0, seed=11),
-                          500)
+        summary = ss_scan(params, 0.01, 10.0, 11, 500)
         assert isinstance(summary, ScanSummary)
         assert len(summary.reports) == 500
         assert summary.ss_count == 0
@@ -166,7 +195,7 @@ class TestScan:
         psets += [MomentumSet.from_momenta((0.0,) * n) for n in range(2, 9)]
         verdicts = 0
         for pset in psets:
-            n = pset.n
+            n = len(pset.momenta)
             jost = JostPair(pset, phi=rng.uniform(-6.0, 0.0),
                             m12=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                             m22=complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
@@ -185,7 +214,7 @@ class TestScan:
 
     def test_empty_scan(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
-        summary = ss_scan(params, momentum_sampler(2, 0.01, 10.0, seed=5), 0)
+        summary = ss_scan(params, 0.01, 10.0, 5, 0)
         assert summary.reports == ()
         assert summary.ss_count == 0
 

@@ -77,8 +77,10 @@ class TestGroundState:
         assert ground_state((1.0, 1.0), 0.0) == 1.0
 
     def test_negative_exponent_guard(self):
-        with pytest.raises(SingularConfigurationError):
-            ground_state((1.0, 1.0 - 1e-14), -0.5)
+        # no parameters carry nu' < 0, so it is refused at any gap
+        for x in ((1.0, 1.0 - 1e-14), (3.0, 0.0, -3.0)):
+            with pytest.raises(DomainError, match="nu_prime must be >= 0"):
+                ground_state(x, -0.5)
 
     def test_translation_exact(self):
         # dyadic coordinates and shift: differences are float-exact
