@@ -25,7 +25,6 @@ from .scattering import (ScanSummary, ScatteringMatch, TransmissionSweep,
 from .specialfn import bessel_eval, bessel_j
 from .wavefunction import (MomentumSet, ground_state, make_scattering_state,
                            radial_coordinate, radial_solution,
-                           reference_momentum_set, residual_convergence,
-                           state_energy)
+                           residual_convergence, state_energy)
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .polynomials import solve_generalized_laplace
 from .scattering import (ScatteringMatch, match_at, ss_scan,
                          transmission_sweep, transmitted_coefficient_readings)
 from .svgplot import render_line_plot
-from .wavefunction import (make_scattering_state, reference_momentum_set,
-                           residual_convergence, state_energy)
+from .wavefunction import (make_scattering_state, residual_convergence,
+                           state_energy)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -305,11 +305,9 @@ def cmd_residual(args) -> int:
         samples = _read_configs(args.configs)
     else:
         samples = _builtin_samples(args.n, args.seed)
-    pset = reference_momentum_set(args.n, args.p)
-    psi = make_scattering_state(params, pset, args.k)
-    energy = state_energy(pset)
-    res_h, res_h2, ratio = residual_convergence(psi, energy, samples, params,
-                                                h_factor=args.h)
+    psi = make_scattering_state(params, args.p, args.k)
+    res_h, res_h2, ratio = residual_convergence(
+        psi, state_energy(args.p), samples, params, h_factor=args.h)
     passed = res_h < args.tol
     doc = {
         "max_residual": res_h,
@@ -513,6 +511,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except CalogeroError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as err:  # a float left its range on the way
+        print(f"numerical failure: {type(err).__name__}: {err}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .errors import (DegenerateEnvelopeError, DomainError,
 from .model import CouplingParams, radial_indices
 from .specialfn import bessel_eval
 from .wavefunction import (MomentumSet, _channels, ground_state,
-                           radial_coordinate, reference_momentum_set)
+                           radial_coordinate)
 
 DIVERGENT_TOL = 1e-12
 
@@ -153,11 +153,15 @@ class ScatteringMatch(NamedTuple):
 def _squared_ratio(num: complex, den: complex, p: float,
                    r_minus: float) -> float:
     """|num/den|^2 from the amplitude ratio, so tiny amplitudes whose
-    squares underflow still give R and T."""
+    squares underflow still give R and T; a ratio that is not a finite
+    number (an amplitude overflowed) is refused."""
     if den == 0:
         raise NumericalFailureError(
             f"incoming amplitude underflowed to 0 at p={p}, r_-={r_minus}")
     ratio = abs(num / den)
+    if not math.isfinite(ratio):
+        raise NumericalFailureError(
+            f"amplitude ratio is {ratio} at p={p}, r_-={r_minus}")
     return ratio * ratio
 
 
@@ -203,6 +207,9 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
                         - 1j * p * r_plus ** (c - 0.5)) \
         * cmath.exp(-1j * p * r_plus)
     mismatch = abs(out_d - psi_d) / max(abs(psi_d), 1e-300)
+    if not math.isfinite(mismatch):  # pref left the float range
+        raise NumericalFailureError(
+            f"derivative mismatch is {mismatch} at p={p}, r_+={r_plus}")
 
     return ScatteringMatch(r_minus=r_minus, r_plus=r_plus, a=a, b=b, d=d,
                            reflection=_squared_ratio(b, a, p, r_minus),
@@ -228,7 +235,7 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
     }
 
 
-def _ray_profile(params: CouplingParams, pset: MomentumSet,
+def _ray_profile(params: CouplingParams, p: float,
                  entries: Mapping[tuple[int, int], complex],
                  direction: Sequence[float],
                  r: float) -> tuple[complex, complex, complex, complex]:
@@ -255,9 +262,9 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
               * (1.0 if ch.poly is None else ch.poly(coords)) / r_hat ** ch.k)
              for ch in _channels(params, entries)]
     power = g_exp - b0
-    evs = [(c, bessel_eval(b0 + k, pset.p * r)) for k, c in terms]
+    evs = [(c, bessel_eval(b0 + k, p * r)) for k, c in terms]
     total = lsum(c * j for c, (j, _) in evs)
-    total_d = lsum(c * pset.p * jd for c, (_, jd) in evs)
+    total_d = lsum(c * p * jd for c, (_, jd) in evs)
     envelope_const = lsum(c for _, c in terms) * j0 / math.sqrt(2.0 * math.pi)
     return (j0 * r ** power * total,
             j0 * (power * r ** (power - 1.0) * total + r ** power * total_d),
@@ -265,7 +272,7 @@ def _ray_profile(params: CouplingParams, pset: MomentumSet,
             envelope_const * (power - 0.5) * r ** (power - 1.5))
 
 
-def match_n_body(params: CouplingParams, pset: MomentumSet,
+def match_n_body(params: CouplingParams, p: float,
                  entries: Mapping[tuple[int, int], complex], r_minus: float,
                  direction: Sequence[float] | None = None) -> ScatteringMatch:
     """Value+derivative continuity of the envelope form at r_-.
@@ -274,19 +281,18 @@ def match_n_body(params: CouplingParams, pset: MomentumSet,
     [ipFS -+ (F'S - S'F)] e^{+-ipr} / (p^(n'-1/2) 2ip S^2); with real
     profile data the numerators are conjugate, forcing R = 1.
     """
-    if pset.p <= 0.0:
+    if p <= 0.0:
         raise DomainError("need p > 0")
     if r_minus <= 0.0:
         raise DomainError("need r_- > 0")
     if direction is None:
         n = params.n_particles
         direction = tuple((n - 1) / 2.0 - j for j in range(n))
-    f_v, fd_v, s_v, sd_v = _ray_profile(params, pset, entries, direction,
+    f_v, fd_v, s_v, sd_v = _ray_profile(params, p, entries, direction,
                                         r_minus)
     if abs(s_v) < 1e-300:
         raise DegenerateEnvelopeError(
             f"matching envelope vanishes at r_- = {r_minus}")
-    p = pset.p
     n_prime = radial_indices(params, 0).n_prime
     denom = p ** (n_prime - 0.5) * 2j * p * s_v * s_v
     a = (1j * p * f_v * s_v - fd_v * s_v + sd_v * f_v) \
@@ -304,8 +310,8 @@ def match_at(params: CouplingParams, p: float, r_minus: float,
 
     N = 2 takes the two-body matcher, which is the k = 0 channel; any
     other k is a DomainError.  Above it the envelope matcher runs on the
-    (0, 1) + 0.6 (k, 1) superposition ((0, 1) alone for k = 0) at the
-    reference momenta of magnitude p; r_plus is not used.
+    (0, 1) + 0.6 (k, 1) superposition ((0, 1) alone for k = 0) at p;
+    r_plus is not used.
     """
     if params.n_particles == 2:
         if k != 0:
@@ -315,8 +321,7 @@ def match_at(params: CouplingParams, p: float, r_minus: float,
     entries = {(0, 1): 1.0 + 0j}
     if k:
         entries[(k, 1)] = 0.6 + 0j
-    pset = reference_momentum_set(params.n_particles, p)
-    return match_n_body(params, pset, entries, r_minus)
+    return match_n_body(params, p, entries, r_minus)
 
 
 # --- M22 status ---------------------------------------------------------------

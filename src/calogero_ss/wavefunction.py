@@ -19,6 +19,7 @@ applies the Hamiltonian on the model's central-difference stencil.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import gt, mul
@@ -26,7 +27,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import polynomials
 from ._sums import lsum
-from .errors import DomainError, SingularConfigurationError
+from .errors import (DomainError, NumericalFailureError,
+                     SingularConfigurationError)
 from .model import (CouplingParams, radial_indices, stencil_values,
                     terms_from_stencil)
 from .polynomials import SymPolynomial, float_evaluator
@@ -55,24 +57,24 @@ class MomentumSet(NamedTuple):
         if any(map(gt, ms, ms[1:])):  # False at a nan, like ms[j] > ms[j+1]
             raise DomainError("momenta must be sorted ascending")
         total = lsum(ms)
-        if abs(total) > SUM_ZERO_TOL * len(ms) * max(max(map(abs, ms)), 1.0):
+        big = max(map(abs, ms))
+        if abs(total) > SUM_ZERO_TOL * len(ms) * max(big, 1.0):
             raise DomainError(f"momenta must sum to zero, got {total:.3e}")
-        p = math.sqrt(lsum(map(mul, ms, ms)))
+        # sqrt of the sum of squares at a power-of-two scale that keeps the
+        # squares from underflowing or overflowing; the scaling is exact, so
+        # p keeps its last bit wherever the unscaled sum neither underflows
+        # nor overflows (math.hypot rounds differently and would move it)
+        e = max(math.frexp(big)[1], sys.float_info.min_exp)
+        scale = math.ldexp(1.0, -e)
+        ys = [m * scale for m in ms]
+        try:
+            p = math.ldexp(math.sqrt(lsum(map(mul, ys, ys))), e)
+        except OverflowError:
+            p = math.inf
         if not math.isfinite(p):  # any nan or inf momentum lands here
             raise DomainError("momenta and their magnitude must be finite, "
                               f"got p = {p}")
         return cls(ms, p)
-
-
-def reference_momentum_set(n: int, p: float) -> MomentumSet:
-    """Centered arithmetic-sequence momenta rescaled to magnitude p."""
-    if n < 2:
-        raise DomainError("need at least two particles")
-    if p <= 0.0:
-        raise DomainError("need p > 0")
-    base = [j - (n - 1) / 2.0 for j in range(n)]
-    norm = math.sqrt(lsum(b * b for b in base))
-    return MomentumSet.from_momenta(tuple(b * p / norm for b in base))
 
 
 # --- geometry ----------------------------------------------------------------
@@ -171,10 +173,11 @@ def _channels(params: CouplingParams,
     return tuple(out)
 
 
-def make_scattering_state(params: CouplingParams, pset: MomentumSet,
-                          k: int, q: int = 1) -> Callable[[tuple], complex]:
-    """Callable psi(coords) for the degenerate state (k, q), coefficient 1."""
-    return _state_evaluator(params, pset.p, _channels(params, {(k, q): 1.0}))
+def make_scattering_state(params: CouplingParams, p: float, k: int,
+                          q: int = 1) -> Callable[[tuple], complex]:
+    """Callable psi(coords) for the degenerate state (k, q) at radial
+    momentum p, coefficient 1."""
+    return _state_evaluator(params, p, _channels(params, {(k, q): 1.0}))
 
 
 def _state_evaluator(params: CouplingParams, p: float,
@@ -224,14 +227,24 @@ def _adjacent_gaps(coords: Sequence[float]) -> list[float]:
     return [coords[j] - coords[j + 1] for j in range(len(coords) - 1)]
 
 
-def state_energy(pset: MomentumSet) -> float:
+def state_energy(p: float) -> float:
     """Eigenvalue of a scattering state at radial momentum p.
 
     With the kinetic term normalized as -(1/2) sum d^2/dx_j^2, both the
     Bessel-profile states and the plane waves exp(i sum p_j x_j) with
-    sum p_j^2 = p^2 carry energy p^2 / 2.
+    sum p_j^2 = p^2 carry energy p^2 / 2.  A p > 0 whose p^2 / 2 is below
+    the smallest normal float or overflows is refused: the residual would
+    check a zero mode, a target with few digits or an infinite one.
     """
-    return pset.p ** 2 / 2.0
+    try:
+        energy = p ** 2 / 2.0
+    except OverflowError:
+        energy = math.inf
+    if p > 0.0 and not sys.float_info.min <= energy < math.inf:
+        raise NumericalFailureError(
+            f"the energy p^2/2 at p = {p} is {energy:.3e}, outside the "
+            "normal float range")
+    return energy
 
 
 def residual_convergence(psi: Callable[[tuple], complex], energy: float,
@@ -247,8 +260,9 @@ def residual_convergence(psi: Callable[[tuple], complex], energy: float,
     so a sample costs 4N+1 psi calls.
 
     The guard is |E psi| floored at NEAR_NODE_GUARD times the global
-    sample scale; for E = 0 (zero modes) the per-sample scale is the
-    term-magnitude sum (cancellation quality), floored at the natural
+    sample scale (a floor below the smallest normal float is a
+    NumericalFailureError); for E = 0 (zero modes) the per-sample scale is
+    the term-magnitude sum (cancellation quality), floored at the natural
     curvature scale |psi| * sum(1/gap^2) so states annihilated term by
     term do not divide by roundoff.
     """
@@ -300,11 +314,16 @@ def _residual(psi: Callable[[tuple], complex], energy: float,
         curvature = abs(psi_val) * lsum(1.0 / (g * g) for g in gaps)
         rows.append((abs(hpsi - target), abs(target), term_scale, curvature))
     global_scale = max(t for _, t, _, _ in rows)
+    guard = NEAR_NODE_GUARD * global_scale
+    if energy != 0.0 and guard < sys.float_info.min:
+        raise NumericalFailureError(
+            f"|E psi| peaks at {global_scale:.3e} over the samples, too "
+            "small to scale the residual by")
     out = 0.0
     for err, target_mag, term_scale, curvature in rows:
         if energy == 0.0:
             denom = max(term_scale, curvature, 1e-300)
         else:
-            denom = max(target_mag, NEAR_NODE_GUARD * global_scale)
+            denom = max(target_mag, guard)
         out = max(out, err / denom)
     return out

@@ -122,21 +122,22 @@ def asymptotic_threshold(order: float, max_rel_error: float = 1e-6) -> float:
     return lead / max_rel_error
 
 
-def make_general_state(params: CouplingParams, pset: MomentumSet,
+def make_general_state(params: CouplingParams, p: float,
                        entries: Mapping[tuple[int, int], complex]
                        ) -> Callable[[tuple], complex]:
-    """Callable psi(coords) for the superposition {(k, q): Ct}.
+    """Callable psi(coords) for the superposition {(k, q): Ct} at radial
+    momentum p.
 
     The full coefficients are p^n' * Ct, with n' the k = 0 index.
     """
-    if pset.p <= 0.0:
+    if p <= 0.0:
         raise DomainError("scattering states need p > 0")
-    scale = pset.p ** radial_indices(params, 0).n_prime
-    return _state_evaluator(params, pset.p, _channels(
+    scale = p ** radial_indices(params, 0).n_prime
+    return _state_evaluator(params, p, _channels(
         params, {kq: scale * c for kq, c in entries.items()}))
 
 
-def asymptotic_wave(x, pset: MomentumSet,
+def asymptotic_wave(x, p: float,
                     entries: Mapping[tuple[int, int], complex],
                     params: CouplingParams, sign: int,
                     max_rel_error: float = 1e-3) -> complex:
@@ -155,7 +156,7 @@ def asymptotic_wave(x, pset: MomentumSet,
         raise DomainError("sign must be +1 or -1")
     coords = _coords_of(x)
     r = radial_coordinate(coords)
-    pr = pset.p * r
+    pr = p * r
     channels = _channels(params, entries)
     for ch in channels:
         thr = asymptotic_threshold(ch.b_prime, max_rel_error)
@@ -164,7 +165,7 @@ def asymptotic_wave(x, pset: MomentumSet,
                 f"p*r = {pr:.6g} below asymptotic threshold {thr:.6g} "
                 f"(degree {ch.k})")
     idx0 = radial_indices(params, 0)
-    envelope = (2.0 * math.pi * r) ** -0.5 * pset.p ** (idx0.n_prime - 0.5) \
+    envelope = (2.0 * math.pi * r) ** -0.5 * p ** (idx0.n_prime - 0.5) \
         * ground_state(coords, params.nu_prime) * r ** (-idx0.a_prime)
     total = 0j
     for ch in channels:

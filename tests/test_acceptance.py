@@ -53,8 +53,7 @@ def test_criterion_02_reflection_n_body():
             entries = {(0, 1): 1.0 + 0j}
             if k:
                 entries[(k, 1)] = 0.6 + 0j
-            m = match_n_body(params, symmetric_pset(n, 1.0), entries,
-                             r_minus=80.0)
+            m = match_n_body(params, 1.0, entries, r_minus=80.0)
             assert abs(m.reflection - 1.0) < 1e-9, (n, k, m.reflection)
     report("02 N-body reflection identity |R-1| < 1e-9")
 
@@ -90,10 +89,9 @@ RESIDUAL_CASES = (
 def test_criterion_04_eigen_residual_and_order():
     for n, nu_prime, delta, k, p, seed in RESIDUAL_CASES:
         params = CouplingParams.from_exponent(n, nu_prime, delta)
-        pset = symmetric_pset(n, p)
-        psi = make_scattering_state(params, pset, k)
+        psi = make_scattering_state(params, p, k)
         samples = gap_band_samples(n, seed, 20)
-        res, _, ratio = residual_convergence(psi, state_energy(pset),
+        res, _, ratio = residual_convergence(psi, state_energy(p),
                                              samples, params,
                                              h_factor=1e-3)
         assert res < 1e-6, (n, nu_prime, delta, k, res)

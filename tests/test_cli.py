@@ -252,8 +252,8 @@ class TestCoeffs:
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK
             digest.update(f"{code}\n{out}".encode())
-        assert digest.hexdigest() == ("39507d6f2f5654557a4b024b45760f7f"
-                                      "fbd9aecf7ca8b25932dd49a152ee4a94")
+        assert digest.hexdigest() == ("47be33e8c745007613072397d1204caf"
+                                      "4805f52a6c51d2ad43da3b7295e73a48")
 
 
 class TestSweep:
@@ -501,8 +501,8 @@ class TestSweep:
                                    "6", "--p", "1.02", "--out", str(csv))
                 assert code == EXIT_OK
                 digest.update(f"{code}\n{out}".encode() + csv.read_bytes())
-        assert digest.hexdigest() == ("6650bc63c1116e051a8f0a46836debd6"
-                                      "d5f2c449e8fb7a38a0b630db4d85b7e7")
+        assert digest.hexdigest() == ("cc28e74be8b39bf6b627d6dd4e0b1d08"
+                                      "2b59031242739a623d86e1562d30d2b7")
 
 
 class TestResidual:
@@ -577,8 +577,8 @@ class TestResidual:
             code, out, _ = run(capsys, *argv)
             assert code in (EXIT_OK, EXIT_CHECK_FAILED)
             digest.update(f"{code}\n{out}".encode())
-        assert digest.hexdigest() == ("78653b312358a26eff5986eff30e60a6"
-                                      "df1378a9327470aaa55da91d751a5d03")
+        assert digest.hexdigest() == ("09eba9b4b0d2833f5f5afd75ec0014df"
+                                      "2ace1a027af7d6d7f188ad96a6dfdea2")
 
     @pytest.mark.parametrize("doc", [{"cfg": []}, [1, 2], {"configs": 3},
                                      {"configs": [[1.0, "x"]]},

@@ -6,7 +6,6 @@ import random
 
 import oracles
 import pytest
-from conftest import symmetric_pset
 from oracles import (JostPair, make_general_state, pair_factors, wronskian,
                      wronskian_product_form)
 
@@ -25,8 +24,7 @@ from calogero_ss.scattering import (M22_DIVERGENT, M22_FINITE_NONZERO,
                                     transmitted_coefficient_readings,
                                     wronskian_report)
 from calogero_ss.wavefunction import (MomentumSet, laplace_solutions,
-                                      radial_coordinate,
-                                      reference_momentum_set)
+                                      radial_coordinate)
 
 
 class TestWronskian:
@@ -268,7 +266,8 @@ class TestPerSampleReference:
 
     @pytest.mark.parametrize("momenta", [
         (), (1.0,), (1.0, -1.0), (-1.0, 1.5), (-math.inf, 0.0, math.inf),
-        (math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (-1e200, 0.0, 1e200)])
+        (math.nan, 0.0, 1.0), (0.0, math.nan, 1.0),
+        (-1.5e308, 0.0, 1.5e308)])
     def test_momentum_set_refusals_match(self, momenta):
         assert _raised(MomentumSet.from_momenta, momenta) == _raised(
             oracles.from_momenta, momenta)
@@ -303,10 +302,9 @@ class TestOneLadderPassPerPoint:
                                          {(0, 1): 1.0, (3, 1): 0.6}])
     def test_n_body_match(self, ladder_passes, entries):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.0)
-        match_n_body(params, pset, entries, r_minus=80.0)
+        match_n_body(params, 1.3, entries, r_minus=80.0)
         b0 = radial_indices(params, 0).b_prime
-        assert ladder_passes == [(b0 + k, pset.p * 80.0) for k, _ in entries]
+        assert ladder_passes == [(b0 + k, 1.3 * 80.0) for k, _ in entries]
 
     @pytest.mark.parametrize("order", [-40.0, -3.0, -2.0, -1.0, 1.5, 30.5])
     def test_bessel_eval_matches_separate_calls(self, order):
@@ -349,8 +347,10 @@ class TestTwoBodyMatch:
         assert m.derivative_mismatch > 1e-6  # genuinely over-determined
 
     def test_hermitian_reduction(self):
-        # observables depend on nu' - delta: the delta = 0 run at the
-        # matched exponent reproduces R and T
+        # observables depend on lambda = nu' - delta: the delta = 0 run at
+        # the matched exponent reproduces R and T at N = 2, and R and the
+        # phase b/a of match_at at N = 3..6, on seeded draws of every
+        # degree k <= 8 with a solution
         deformed = CouplingParams.from_exponent(2, 2.0, 0.5)
         hermitian = CouplingParams.from_exponent(2, 1.5, 0.0)
         assert radial_indices(deformed, 0).b_prime == pytest.approx(
@@ -361,6 +361,27 @@ class TestTwoBodyMatch:
             assert abs(md.reflection - mh.reflection) < 1e-9
             assert md.transmission == pytest.approx(mh.transmission,
                                                     rel=1e-9)
+        rng = random.Random(26)
+        draws = 0
+        while draws < 240:
+            n = rng.randint(3, 6)
+            # dyadic values, so that nu' - delta is lambda exactly
+            lam = rng.choice((0.25, 0.5, 1.0, 1.5, 2.5))
+            delta = rng.choice((-0.5, -0.25, 0.25, 0.5, 0.75, 1.0))
+            if lam + delta < 0.0:
+                continue
+            draws += 1
+            deformed = CouplingParams.from_exponent(n, lam + delta, delta)
+            hermitian = CouplingParams.from_exponent(n, lam, 0.0)
+            k = rng.choice([k for k in range(9)
+                            if laplace_solutions(hermitian, k)])
+            p = 10.0 ** rng.uniform(-1.0, 1.0)
+            r_minus = rng.uniform(5.0, 500.0)
+            md = match_at(deformed, p, r_minus, 5.0, k=k)
+            mh = match_at(hermitian, p, r_minus, 5.0, k=k)
+            assert md.a != mh.a  # the Jastrow factors differ
+            assert abs(md.b / md.a - mh.b / mh.a) <= 1e-14, (n, lam, delta, k)
+            assert abs(md.reflection - mh.reflection) <= 1e-14
 
     def test_alt_readings_labeled(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
@@ -423,27 +444,24 @@ class TestNBodyMatch:
     @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (3, 3), (4, 0), (4, 3)])
     def test_reflection_unity(self, n, k):
         params = CouplingParams.from_exponent(n, 1.0, 0.5)
-        pset = symmetric_pset(n, 1.0)
         entries = {(0, 1): 1.0} if k == 0 else {(0, 1): 1.0, (k, 1): 0.6}
-        m = match_n_body(params, pset, entries, r_minus=80.0)
+        m = match_n_body(params, 1.0, entries, r_minus=80.0)
         assert abs(m.reflection - 1.0) < 1e-9
         assert abs(abs(m.a) - abs(m.b)) < 1e-12 * abs(m.a)
         assert m.d is None and m.transmission is None
 
     def test_two_body_reduction(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.5)
-        pset = symmetric_pset(2, 1.0)
         coeffs = {(0, 1): 1.0}
-        mn = match_n_body(params, pset, coeffs, r_minus=50.0)
+        mn = match_n_body(params, 1.0, coeffs, r_minus=50.0)
         m2 = match_two_body(params, 1.0, 50.0, 5.0)
         assert abs(mn.reflection - m2.reflection) < 1e-9
 
     def test_common_phase_keeps_unity(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.0)
         phase = cmath.exp(0.7j)
         coeffs = {(0, 1): phase, (3, 1): 0.6 * phase}
-        m = match_n_body(params, pset, coeffs, r_minus=80.0)
+        m = match_n_body(params, 1.0, coeffs, r_minus=80.0)
         assert abs(m.reflection - 1.0) < 1e-9
 
     def test_degenerate_envelope(self):
@@ -451,22 +469,21 @@ class TestNBodyMatch:
         from calogero_ss.wavefunction import (laplace_solutions,
                                               radial_coordinate)
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.0)
         direction = (1.0, 0.25, -1.25)
         p3 = laplace_solutions(params, 3)[0]
         r_hat = radial_coordinate(direction)
         c3 = float_evaluator(p3)(direction) / r_hat ** 3
         coeffs = {(0, 1): 1.0, (3, 1): -1.0 / c3}
         with pytest.raises(DegenerateEnvelopeError):
-            match_n_body(params, pset, coeffs, r_minus=80.0,
+            match_n_body(params, 1.0, coeffs, r_minus=80.0,
                          direction=direction)
 
     def test_coincident_direction_rejected(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
         coeffs = {(0, 1): 1.0}
         with pytest.raises(DomainError, match="r_hat"):
-            match_n_body(params, symmetric_pset(3, 1.0), coeffs,
-                         r_minus=80.0, direction=(0.5, 0.5, 0.5))
+            match_n_body(params, 1.0, coeffs, r_minus=80.0,
+                         direction=(0.5, 0.5, 0.5))
 
     @pytest.mark.parametrize("n,nu,delta,entries", [
         (3, 1.0, 0.5, {(0, 1): 1.0, (3, 1): 0.6}),
@@ -476,15 +493,15 @@ class TestNBodyMatch:
         # along x = r x_hat / r_hat the closed-form profile times p^n' is
         # the superposition itself
         params = CouplingParams.from_exponent(n, nu, delta)
-        pset = reference_momentum_set(n, 1.3)
+        p = 1.3
         direction = tuple((n - 1) / 2.0 - j + 0.1 * j * j for j in range(n))
         direction = tuple(sorted(direction, reverse=True))
-        psi = make_general_state(params, pset, entries)
+        psi = make_general_state(params, p, entries)
         r_hat = radial_coordinate(direction)
-        scale = pset.p ** radial_indices(params, 0).n_prime
+        scale = p ** radial_indices(params, 0).n_prime
         for r in (0.7, 3.0, 11.5, 40.0):
             expected = psi(tuple(r * c / r_hat for c in direction))
-            got = _ray_profile(params, pset, entries, direction, r)[0] * scale
+            got = _ray_profile(params, p, entries, direction, r)[0] * scale
             assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
@@ -517,7 +534,7 @@ class TestTransferMatrix:
 
     def test_n_body_match_rejected(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        m = match_n_body(params, symmetric_pset(3, 1.0), {(0, 1): 1.0}, 80.0)
+        m = match_n_body(params, 1.0, {(0, 1): 1.0}, 80.0)
         with pytest.raises(DomainError, match="two-body"):
             m22_status(m)
 
@@ -545,9 +562,8 @@ class TestReachableDomain:
                             assert abs(m.reflection - 1.0) <= 1e-12
                             continue
                         coeffs = {(k, 1): 1.0}
-                        pset = reference_momentum_set(n, p)
                         try:
-                            m = match_n_body(params, pset, coeffs, r_minus)
+                            m = match_n_body(params, p, coeffs, r_minus)
                         except DegenerateEnvelopeError:
                             assert k % 2 == 1, (n, nu_prime, delta, k)
                             degenerate += 1
@@ -638,7 +654,6 @@ class TestTransmissionSweep:
         three = CouplingParams.from_exponent(3, 1.0, 0.5)
         sweep = transmission_sweep(three, "r_minus", [80.0, 40.0], k=3)
         assert sweep.trend is None
-        pset = reference_momentum_set(3, 1.0)
         coeffs = {(0, 1): 1.0, (3, 1): 0.6}
         for rm, m in sweep.rows:
-            assert m == match_n_body(three, pset, coeffs, rm)
+            assert m == match_n_body(three, 1.0, coeffs, rm)

@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from conftest import gap_band_samples, symmetric_pset
+from conftest import gap_band_samples
 from oracles import (AsymptoticRangeError, asymptotic_wave, forward_wave,
                      make_general_state, reversed_momenta, reversed_wave)
 
@@ -17,7 +17,6 @@ from calogero_ss.wavefunction import (MomentumSet, ground_state,
                                       laplace_solutions,
                                       make_scattering_state,
                                       radial_coordinate, radial_solution,
-                                      reference_momentum_set,
                                       residual_convergence, state_energy)
 
 
@@ -37,11 +36,21 @@ class TestMomentumSet:
 
     @pytest.mark.parametrize("momenta", [(-math.inf, 0.0, math.inf),
                                          (math.nan, 0.0, 1.0),
-                                         (-1e200, 0.0, 1e200)],
+                                         (-1.5e308, 0.0, 1.5e308)],
                              ids=["inf", "nan", "overflowing-p"])
     def test_non_finite_rejected(self, momenta):
+        # p = 1.5e308 sqrt(2) is beyond the largest float
         with pytest.raises(DomainError, match="must be finite"):
             MomentumSet.from_momenta(momenta)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-200, 1e-160, 1e160,
+                                       1e200, 1.2e308])
+    def test_magnitude_neither_underflows_nor_overflows(self, scale):
+        # the squares of these momenta underflow or overflow, p does not;
+        # at 1e-320 the momenta themselves are subnormal
+        ms = MomentumSet.from_momenta((-scale, 0.0, scale))
+        assert ms.p == pytest.approx(scale * math.sqrt(2.0),
+                                     rel=1e-3 if scale < 1e-300 else 1e-15)
 
     def test_zero_momenta_allowed(self):
         ms = MomentumSet.from_momenta((0.0, 0.0, 0.0))
@@ -124,51 +133,51 @@ class TestRadialSolution:
 class TestEigenfunctions:
     def test_two_body_composition(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
-        pset = symmetric_pset(2, 1.0)
+        p = 1.0
         x = (1.0, -1.0)
-        got = make_scattering_state(params, pset, 0)(x)
+        got = make_scattering_state(params, p, 0)(x)
         r = math.sqrt(2.0)
         expected = 2.0 * r ** -0.5 * bessel_j(0.5, r)
         assert got == pytest.approx(complex(expected), rel=1e-12)
 
     def test_k0_reduces_to_product(self):
         params = CouplingParams.from_exponent(3, 1.5, 0.5)
-        pset = symmetric_pset(3, 1.2)
+        p = 1.2
         x = (2.0, 0.1, -1.8)
         idx = radial_indices(params, 0)
         r = radial_coordinate(x)
         expected = ground_state(x, params.nu_prime) * radial_solution(
-            r, pset.p, idx.b_prime)
-        assert make_scattering_state(params, pset, 0)(x) == \
+            r, p, idx.b_prime)
+        assert make_scattering_state(params, p, 0)(x) == \
             pytest.approx(complex(expected), rel=1e-12)
 
     def test_general_single_entry_scaling(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.3)
+        p = 1.3
         coeffs = {(0, 1): 1.0}
         x = (2.0, 0.1, -1.8)
-        single = make_scattering_state(params, pset, 0)(x)
+        single = make_scattering_state(params, p, 0)(x)
         n_prime = radial_indices(params, 0).n_prime
         # one evaluator: a unit coefficient gives p^n' * psi bit for bit
-        assert make_general_state(params, pset, coeffs)(x) == \
-            single * pset.p ** n_prime
+        assert make_general_state(params, p, coeffs)(x) == \
+            single * p ** n_prime
 
     def test_linearity(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
-        pset = symmetric_pset(3, 1.0)
+        p = 1.0
         base = {(0, 1): 1.0, (3, 1): 0.5}
         scaled = {(0, 1): 2.5, (3, 1): 1.25}
         x = (2.5, 0.3, -2.0)
-        assert make_general_state(params, pset, scaled)(x) == \
-            pytest.approx(2.5 * make_general_state(params, pset, base)(x),
+        assert make_general_state(params, p, scaled)(x) == \
+            pytest.approx(2.5 * make_general_state(params, p, base)(x),
                           rel=1e-12)
 
     def test_zero_degeneracy_entry_rejected(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
-        pset = symmetric_pset(3, 1.0)
+        p = 1.0
         coeffs = {(1, 1): 1.0}
         with pytest.raises(DomainError, match="zero degeneracy"):
-            make_general_state(params, pset, coeffs)
+            make_general_state(params, p, coeffs)
 
     @pytest.mark.parametrize("n", [3, 6, 7])
     def test_degree_zero_is_the_constant_without_a_solve(self, monkeypatch,
@@ -201,14 +210,13 @@ class TestStateEvaluator:
                                               (5, 4, 1.5, 0.0)])
     def test_equals_composition_bit_for_bit(self, n, k, nu, delta):
         params = CouplingParams.from_exponent(n, nu, delta)
-        pset = MomentumSet.from_momenta(
-            tuple(j - (n - 1) / 2.0 for j in range(n)))
+        p = 1.3
         poly = laplace_solutions(params, k)[0] if k else None
-        psi = make_scattering_state(params, pset, k)
+        psi = make_scattering_state(params, p, k)
         b_prime = radial_indices(params, k).b_prime
         for x in gap_band_samples(n, 31, 5):
             value = ground_state(x, nu) * radial_solution(
-                radial_coordinate(x), pset.p, b_prime)
+                radial_coordinate(x), p, b_prime)
             if poly is not None:
                 value *= float_evaluator(poly)(x)
             assert psi(x) == complex(value)
@@ -216,10 +224,10 @@ class TestStateEvaluator:
     @pytest.mark.parametrize("k", [0, 3])
     def test_exception_types(self, k):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.2)
+        p = 1.2
         coeffs = {(k, 1): 0.5}
-        for call in (make_scattering_state(params, pset, k),
-                     make_general_state(params, pset, coeffs)):
+        for call in (make_scattering_state(params, p, k),
+                     make_general_state(params, p, coeffs)):
             with pytest.raises(DomainError, match="ordered descending"):
                 call((0.0, 1.0, 2.0))
             with pytest.raises(DomainError, match="r > 0"):
@@ -233,14 +241,13 @@ class TestStateEvaluator:
         # N = 3 at lambda = 1/2 has one solution at k = 0 and k = 3, none
         # at k = 1
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.2)
+        p = 1.2
         with pytest.raises(DomainError):
-            make_scattering_state(params, pset, k, q)
+            make_scattering_state(params, p, k, q)
 
     def test_zero_momentum_raises_at_call(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
-        psi = make_scattering_state(params, MomentumSet.from_momenta(
-            (0.0, 0.0)), 0)
+        psi = make_scattering_state(params, 0.0, 0)
         with pytest.raises(DomainError):
             psi((1.0, -1.0))
 
@@ -254,38 +261,38 @@ class TestHamiltonianFD:
 
     def test_eigenstate_residual_and_order(self):
         params = CouplingParams.from_exponent(2, 2.0, 0.5)
-        pset = symmetric_pset(2, 1.0)
-        psi = make_scattering_state(params, pset, 0)
+        p = 1.0
+        psi = make_scattering_state(params, p, 0)
         samples = gap_band_samples(2, 5, 20)
-        res, _, ratio = residual_convergence(psi, state_energy(pset),
+        res, _, ratio = residual_convergence(psi, state_energy(p),
                                              samples, params)
         assert res < 1e-6
         assert 3.8 <= ratio <= 4.2
 
     def test_three_body_cubic_state(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.3)
-        psi = make_scattering_state(params, pset, 3)
+        p = 1.3
+        psi = make_scattering_state(params, p, 3)
         samples = gap_band_samples(3, 9, 20)
-        assert residual_convergence(psi, state_energy(pset), samples,
+        assert residual_convergence(psi, state_energy(p), samples,
                                     params)[0] < 1e-6
 
     def test_two_term_superposition(self):
         params = CouplingParams.from_exponent(3, 1.0, 0.0)
-        pset = symmetric_pset(3, 1.4)
+        p = 1.4
         coeffs = {(0, 1): 1.0, (3, 1): 0.7}
-        psi = make_general_state(params, pset, coeffs)
+        psi = make_general_state(params, p, coeffs)
         samples = gap_band_samples(3, 13, 20)
-        assert residual_convergence(psi, state_energy(pset), samples,
+        assert residual_convergence(psi, state_energy(p), samples,
                                     params)[0] < 1e-6
 
     def test_perturbed_state_detected(self):
         params = CouplingParams.from_exponent(2, 1.0, 0.0)
-        pset = symmetric_pset(2, 1.0)
-        base = make_scattering_state(params, pset, 0)
+        p = 1.0
+        base = make_scattering_state(params, p, 0)
         bad = lambda c: base(c) * (1.0 + 0.1 * c[0] ** 2)
         samples = gap_band_samples(2, 3, 20)
-        assert residual_convergence(bad, state_energy(pset), samples,
+        assert residual_convergence(bad, state_energy(p), samples,
                                     params)[0] > 1e-2
 
     def test_stencil_guard(self):
@@ -311,10 +318,10 @@ class TestHamiltonianFD:
         # the sample's own value is the stencil centre and the p^2 psi
         # target, shared by h and h/2
         params = CouplingParams.from_exponent(n, 1.0, 0.25)
-        pset = reference_momentum_set(n, 1.1)
-        psi, calls = self._counted(make_scattering_state(params, pset, k))
+        p = 1.1
+        psi, calls = self._counted(make_scattering_state(params, p, k))
         samples = gap_band_samples(n, 17, 3)
-        residual_convergence(psi, state_energy(pset), samples, params)
+        residual_convergence(psi, state_energy(p), samples, params)
         assert len(calls) == 3 * (4 * n + 1)
 
     @pytest.mark.parametrize("samples,problem", [
@@ -328,10 +335,10 @@ class TestHamiltonianFD:
     ])
     def test_bad_samples_rejected_before_psi(self, samples, problem):
         params = CouplingParams.from_exponent(3, 1.0, 0.5)
-        pset = symmetric_pset(3, 1.2)
-        psi, calls = self._counted(make_scattering_state(params, pset, 0))
+        p = 1.2
+        psi, calls = self._counted(make_scattering_state(params, p, 0))
         with pytest.raises(DomainError, match=problem):
-            residual_convergence(psi, state_energy(pset), samples, params)
+            residual_convergence(psi, state_energy(p), samples, params)
         assert calls == []
 
     def test_factorization_identity(self):
@@ -339,8 +346,8 @@ class TestHamiltonianFD:
         # -(1/2) sum tau'' - (nu'-delta) sum (x_j - x_m)^(-1) d_j tau
         #   = E tau with E = p^2/2.
         params = CouplingParams.from_exponent(3, 1.5, 0.5)
-        pset = symmetric_pset(3, 1.2)
-        psi = make_scattering_state(params, pset, 3)
+        p = 1.2
+        psi = make_scattering_state(params, p, 3)
         lam = params.nu_prime - params.delta
 
         def tau(c):
@@ -358,7 +365,7 @@ class TestHamiltonianFD:
                 d1 = (tau(tuple(xp)) - tau(tuple(xm))) / (2 * h)
                 drift += sum(d1 / (x[j] - x[m]) for m in range(n) if m != j)
             lhs = -0.5 * kin - lam * drift
-            rhs = state_energy(pset) * tau(x)
+            rhs = state_energy(p) * tau(x)
             assert abs(lhs - rhs) / abs(rhs) < 1e-6
 
 
@@ -369,24 +376,24 @@ class TestAsymptoticWave:
 
     def test_sum_matches_general_at_large_r(self):
         params = self.params_half_order()
-        pset = symmetric_pset(2, 1.0)
+        p = 1.0
         coeffs = {(0, 1): 1.0}
         r_target = 100.0
         x = (r_target / math.sqrt(2.0), -r_target / math.sqrt(2.0))
-        full = make_general_state(params, pset, coeffs)(x)
-        split = asymptotic_wave(x, pset, coeffs, params, +1) + \
-            asymptotic_wave(x, pset, coeffs, params, -1)
+        full = make_general_state(params, p, coeffs)(x)
+        split = asymptotic_wave(x, p, coeffs, params, +1) + \
+            asymptotic_wave(x, p, coeffs, params, -1)
         assert abs(full - split) / abs(full) < 1e-3
 
     def test_phase_difference(self):
         params = self.params_half_order()
-        pset = symmetric_pset(2, 1.0)
+        p = 1.0
         coeffs = {(0, 1): 1.0}
         x = (70.0, -70.0)
-        pr = pset.p * radial_coordinate(x)
+        pr = p * radial_coordinate(x)
         b = radial_indices(params, 0).b_prime
-        plus = asymptotic_wave(x, pset, coeffs, params, +1)
-        minus = asymptotic_wave(x, pset, coeffs, params, -1)
+        plus = asymptotic_wave(x, p, coeffs, params, +1)
+        minus = asymptotic_wave(x, p, coeffs, params, -1)
         got = cmath.phase(plus / minus)
         expected = 2.0 * (b + 0.5) * math.pi / 2.0 - 2.0 * pr
         assert (got - expected) % (2.0 * math.pi) == pytest.approx(
@@ -396,14 +403,14 @@ class TestAsymptoticWave:
     def test_envelope_slope(self):
         # |psi_+| ~ r^(-1/2 - A' - k + nu' N(N-1)/2) along a fixed direction
         params = CouplingParams.from_exponent(2, 2.0, 0.5)
-        pset = symmetric_pset(2, 1.0)
+        p = 1.0
         coeffs = {(0, 1): 1.0}
         idx = radial_indices(params, 0)
         expected = -0.5 - idx.a_prime - 0 + params.nu_prime * 1.0
         logs = []
         for r in (500.0, 800.0, 1300.0):
             x = (r / math.sqrt(2.0), -r / math.sqrt(2.0))
-            val = abs(asymptotic_wave(x, pset, coeffs, params, +1))
+            val = abs(asymptotic_wave(x, p, coeffs, params, +1))
             logs.append((math.log(r), math.log(val)))
         slope = (logs[-1][1] - logs[0][1]) / (logs[-1][0] - logs[0][0])
         mid = (logs[1][1] - logs[0][1]) / (logs[1][0] - logs[0][0])
@@ -413,15 +420,15 @@ class TestAsymptoticWave:
     def test_decay_of_split_error(self):
         # relative error of psi_+ + psi_- falls like 1/(p r): fitted, not assumed
         params = CouplingParams.from_exponent(2, 2.0, 0.5)  # b' = 1
-        pset = symmetric_pset(2, 1.0)
+        p = 1.0
         coeffs = {(0, 1): 1.0}
         errs = []
         for r in (419.0, 853.0):
             x = (r / math.sqrt(2.0), -r / math.sqrt(2.0))
-            full = make_general_state(params, pset, coeffs)(x)
-            split = asymptotic_wave(x, pset, coeffs, params, +1,
+            full = make_general_state(params, p, coeffs)(x)
+            split = asymptotic_wave(x, p, coeffs, params, +1,
                                     max_rel_error=1e-2) + \
-                asymptotic_wave(x, pset, coeffs, params, -1,
+                asymptotic_wave(x, p, coeffs, params, -1,
                                 max_rel_error=1e-2)
             env = abs(full) + abs(split)
             errs.append((r, abs(full - split) / env))
@@ -431,10 +438,10 @@ class TestAsymptoticWave:
 
     def test_below_threshold(self):
         params = CouplingParams.from_exponent(2, 2.0, 0.5)
-        pset = symmetric_pset(2, 1.0)
+        p = 1.0
         coeffs = {(0, 1): 1.0}
         with pytest.raises(AsymptoticRangeError):
-            asymptotic_wave((5.0, -5.0), pset, coeffs, params, +1,
+            asymptotic_wave((5.0, -5.0), p, coeffs, params, +1,
                             max_rel_error=1e-6)
 
 
