@@ -137,7 +137,7 @@ def cmd_nu_prime(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    params = CouplingParams.from_exponent(args.n, args.nu_prime, args.delta)
+    params = _params_from_args(args)
     summary = ss_scan(params, args.p_min, args.p_max, args.seed,
                       args.samples)
     rows = []

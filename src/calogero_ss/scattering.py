@@ -165,6 +165,17 @@ def _squared_ratio(num: complex, den: complex, p: float,
     return ratio * ratio
 
 
+def _amplitudes(p: float, r: float, f: complex, fd: complex, s: complex,
+                sd: complex, scale: float) -> tuple[complex, complex]:
+    """(a, b) of scale S (a e^{-ipr} + b e^{ipr}) with value F and
+    r-derivative F' at r: [ipFS -+ (F'S - S'F)] e^{+-ipr} / (scale 2ip S^2).
+    With real profile data the numerators are conjugate, forcing R = 1."""
+    denom = scale * 2j * p * s * s
+    ipfs, fds, sdf = 1j * p * f * s, fd * s, sd * f
+    return ((ipfs - fds + sdf) * cmath.exp(1j * p * r) / denom,
+            (ipfs + fds - sdf) * cmath.exp(-1j * p * r) / denom)
+
+
 def match_two_body(params: CouplingParams, p: float, r_minus: float,
                    r_plus: float) -> ScatteringMatch:
     """Value+derivative continuity at r_-, value continuity at r_+.
@@ -181,35 +192,20 @@ def match_two_body(params: CouplingParams, p: float, r_minus: float,
     b_ord, c = idx.b_prime, idx.c
 
     jm, jm_d = bessel_eval(b_ord, p * r_minus)  # d/d(pr)
-    em = cmath.exp(-1j * p * r_minus)
-    ep = cmath.exp(1j * p * r_minus)
-    # rows: value and derivative of the envelope (common power canceled)
-    m11, m12 = em, ep
-    m21 = ((c - 0.5) / r_minus - 1j * p) * em
-    m22 = ((c - 0.5) / r_minus + 1j * p) * ep
-    rhs1 = math.sqrt(r_minus) * jm
-    rhs2 = c / math.sqrt(r_minus) * jm + math.sqrt(r_minus) * p * jm_d
-    det = m11 * m22 - m12 * m21
-    if abs(det) < 1e-14 * max(1.0, abs(m11 * m22)):
-        raise NumericalFailureError(
-            f"singular matching system at p={p}, r_-={r_minus}")
-    a = (rhs1 * m22 - m12 * rhs2) / det
-    b = (m11 * rhs2 - rhs1 * m21) / det
+    # over r^(c-1/2) p^(n'-1/2): F = sqrt(r) J, S = 1, S' = (c - 1/2)/r
+    root = math.sqrt(r_minus)
+    a, b = _amplitudes(p, r_minus, root * jm,
+                       c / root * jm + root * p * jm_d,
+                       1.0, (c - 0.5) / r_minus, 1.0)
 
     # transmitted side: one constant from value continuity
     jp, jp_d = bessel_eval(b_ord, p * r_plus)
     d = math.sqrt(r_plus) * jp * cmath.exp(1j * p * r_plus)
-    # derivative defect of the over-determined outgoing condition
-    pref = p ** (idx.n_prime - 0.5)
-    psi_d = pref * (c * r_plus ** (c - 1.0) * jp
-                    + r_plus ** c * p * jp_d)
-    out_d = d * pref * ((c - 0.5) * r_plus ** (c - 1.5)
-                        - 1j * p * r_plus ** (c - 0.5)) \
-        * cmath.exp(-1j * p * r_plus)
-    mismatch = abs(out_d - psi_d) / max(abs(psi_d), 1e-300)
-    if not math.isfinite(mismatch):  # pref left the float range
-        raise NumericalFailureError(
-            f"derivative mismatch is {mismatch} at p={p}, r_+={r_plus}")
+    # relative defect of the over-determined outgoing derivative condition,
+    # both sides over p^(n'-1/2) r_+^(c-1)
+    x = p * r_plus
+    psi_d = c * jp + x * jp_d
+    mismatch = abs((c - 0.5 - 1j * x) * jp - psi_d) / max(abs(psi_d), 1e-300)
 
     return ScatteringMatch(r_minus=r_minus, r_plus=r_plus, a=a, b=b, d=d,
                            reflection=_squared_ratio(b, a, p, r_minus),
@@ -228,7 +224,7 @@ def transmitted_coefficient_readings(params: CouplingParams, p: float,
     """
     idx = radial_indices(params, 0)
     j, jd = bessel_eval(idx.b_prime, p * r_plus)
-    pref = cmath.exp(1j * p * r_plus) / p ** (idx.n_prime - 0.5)
+    pref = cmath.exp(1j * p * r_plus) * p ** -(idx.n_prime - 0.5)
     return {
         "derivative_squared": r_plus * jd * jd * pref,
         "derivative_of_square": r_plus * 2.0 * j * jd * pref,
@@ -277,9 +273,7 @@ def match_n_body(params: CouplingParams, p: float,
                  direction: Sequence[float] | None = None) -> ScatteringMatch:
     """Value+derivative continuity of the envelope form at r_-.
 
-    a and b follow the closed matching expressions
-    [ipFS -+ (F'S - S'F)] e^{+-ipr} / (p^(n'-1/2) 2ip S^2); with real
-    profile data the numerators are conjugate, forcing R = 1.
+    a and b are _amplitudes of the ray profile at scale p^(n'-1/2).
     """
     if p <= 0.0:
         raise DomainError("need p > 0")
@@ -293,12 +287,8 @@ def match_n_body(params: CouplingParams, p: float,
     if abs(s_v) < 1e-300:
         raise DegenerateEnvelopeError(
             f"matching envelope vanishes at r_- = {r_minus}")
-    n_prime = radial_indices(params, 0).n_prime
-    denom = p ** (n_prime - 0.5) * 2j * p * s_v * s_v
-    a = (1j * p * f_v * s_v - fd_v * s_v + sd_v * f_v) \
-        * cmath.exp(1j * p * r_minus) / denom
-    b = (1j * p * f_v * s_v + fd_v * s_v - sd_v * f_v) \
-        * cmath.exp(-1j * p * r_minus) / denom
+    a, b = _amplitudes(p, r_minus, f_v, fd_v, s_v, sd_v,
+                       p ** (radial_indices(params, 0).n_prime - 0.5))
     return ScatteringMatch(r_minus=r_minus, r_plus=None, a=a, b=b, d=None,
                            reflection=_squared_ratio(b, a, p, r_minus),
                            transmission=None, derivative_mismatch=None)

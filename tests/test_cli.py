@@ -214,18 +214,55 @@ class TestCoeffs:
         else:
             assert "numerical failure" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--nu-prime", "1", "--delta", "0.5", "--p", "1e-15"),
+        ("--nu-prime", "1", "--delta", "0.5", "--p", "1e-20"),
+        ("--nu-prime", "1", "--delta", "0.5", "--p", "1e-300"),
+        # p^(n'-1/2) overflows here; it cancels from the relative defect
+        ("--nu-prime", "2.5", "--delta", "0.75",
+         "--p", "2.9499891896526597e+268", "--r-minus",
+         "21.477692382662195", "--r-plus", "0.14277597047914645")])
+    def test_two_body_far_from_unit_p(self, capsys, argv):
+        # no refusal at p far from 1: the amplitude denominator 2ip is exact
+        code, out, err = run(capsys, "coeffs", "--n", "2", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        row = [float(v) for v in out.splitlines()[-1].split(",")]
+        assert abs(row[9] - 1.0) < 1e-9
+        assert math.isfinite(row[10]) and math.isfinite(row[11])
+
+    def test_alt_readings_underflow_to_zero(self, capsys):
+        # p^(n'-1/2) = 1e400 would overflow; its reciprocal underflows
+        code, out, err = run(capsys, "coeffs", "--n", "2", "--nu-prime", "5",
+                             "--delta", "2", "--p", "1e200")
+        assert (code, err) == (EXIT_OK, "")
+        meta = dict(ln[2:].split("=") for ln in out.splitlines()
+                    if ln.startswith("#"))
+        assert float(meta["alt_d_derivative_squared"]) == 0.0
+        assert float(meta["alt_d_derivative_of_square"]) == 0.0
+        row = [float(v) for v in out.splitlines()[-1].split(",")]
+        assert abs(row[9] - 1.0) < 1e-9 and 0.0 < row[10] <= 1.0
+
     def test_invalid_couplings(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
                          "--g", "-0.3", "--delta", "-0.9")
         assert code == EXIT_COUPLINGS
 
-    def test_rounded_exponent_outside_ranges(self, capsys):
-        # g = nu'^2 - nu'(1 + 2 delta) rounds below -(delta + 1/2)^2 here
+    def test_rounded_exponent_outside_ranges(self, capsys, tmp_path):
+        # g = nu'^2 - nu'(1 + 2 delta) rounds below -(delta + 1/2)^2 here;
+        # the scan takes its couplings through the same check
+        couplings = ("--nu-prime", "0.6040065076960841",
+                     "--delta", "0.1040065076960841")
         code, _, err = run(capsys, "coeffs", "--n", "2", "--p", "1",
-                           "--nu-prime", "0.6040065076960841",
-                           "--delta", "0.1040065076960841")
+                           *couplings)
         assert code == EXIT_COUPLINGS
         assert "outside both validity ranges" in err
+        out_file = tmp_path / "s.csv"
+        code, out, err = run(capsys, "scan", "--n", "3", "--samples", "2",
+                             "--p-max", "2", "--seed", "1",
+                             "--out", str(out_file), *couplings)
+        assert (code, out) == (EXIT_COUPLINGS, "")
+        assert "outside both validity ranges" in err
+        assert not out_file.exists()
 
     def test_exclusive_parameterization(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--p", "1",
@@ -252,8 +289,8 @@ class TestCoeffs:
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK
             digest.update(f"{code}\n{out}".encode())
-        assert digest.hexdigest() == ("47be33e8c745007613072397d1204caf"
-                                      "4805f52a6c51d2ad43da3b7295e73a48")
+        assert digest.hexdigest() == ("50ec43c2045969c6cac15591d28f2fc0"
+                                      "320fc43a867cb668b3f2d0c62b4db7da")
 
 
 class TestSweep:
@@ -501,8 +538,8 @@ class TestSweep:
                                    "6", "--p", "1.02", "--out", str(csv))
                 assert code == EXIT_OK
                 digest.update(f"{code}\n{out}".encode() + csv.read_bytes())
-        assert digest.hexdigest() == ("cc28e74be8b39bf6b627d6dd4e0b1d08"
-                                      "2b59031242739a623d86e1562d30d2b7")
+        assert digest.hexdigest() == ("150265e6c2e5305c44c2e7b0b2c59959"
+                                      "0829e66fee48adae4a4be2134af7a5ec")
 
 
 class TestResidual:

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import oracles
 import pytest
 from oracles import (JostPair, make_general_state, pair_factors, wronskian,
@@ -438,6 +439,72 @@ class TestMatcherInvariances:
         # c = delta + 1/2 enters the derivative row of the outgoing side,
         # so deriv_mismatch is not a function of b' alone
         assert max(changes) > 1.0
+
+
+def _two_body_closed_forms(params, p, r_minus, r_plus):
+    """a, b, d and the derivative mismatch of a two-body match, from the
+    matcher's closed forms in mpmath at the working precision."""
+    idx = radial_indices(params, 0)
+    b_ord, c, p = mp.mpf(idx.b_prime), mp.mpf(idx.c), mp.mpf(p)
+    ip, half = mp.mpc(0, 1) * p, mp.mpf(0.5)
+    rm, rp = mp.mpf(r_minus), mp.mpf(r_plus)
+    j, jd = mp.besselj(b_ord, p * rm), mp.besselj(b_ord, p * rm, 1)
+    f, fd = mp.sqrt(rm) * j, c / mp.sqrt(rm) * j + mp.sqrt(rm) * p * jd
+    wronski = fd - (c - half) / rm * f
+    a = (ip * f - wronski) * mp.exp(ip * rm) / (2 * ip)
+    b = (ip * f + wronski) * mp.exp(-ip * rm) / (2 * ip)
+    x = p * rp
+    j, jd = mp.besselj(b_ord, x), mp.besselj(b_ord, x, 1)
+    psi_d = c * j + x * jd
+    mismatch = abs((c - half - mp.mpc(0, 1) * x) * j - psi_d) / abs(psi_d)
+    return a, b, mp.sqrt(rp) * j * mp.exp(ip * rp), mismatch
+
+
+class TestTwoBodyOracle:
+    """match_two_body against its closed forms at 40 digits.
+
+    Over 400 seeded draws (p in 10^[-3, 2], r_- in 10^[-1, 3.5], r_+ in
+    10^[-1, 1.5]) the measured envelope, with eps = 2^-53, is
+        |a - a*|, |b - b*| <= 1.4 eps (100 + p r_-) |a*|,
+        |d - d*|           <= 0.9 eps (100 + p r_+) sqrt(r_+) env(p r_+),
+        |m - m*|           <= 0.9 eps (100 + p r_+) (1 + m*) m*
+    for the derivative mismatch m, env(x) = min(1, sqrt(2 / (pi x))), with
+    median relative errors 3.1e-16, 9.9e-17 and 1.1e-16.  The p r terms
+    are the rounding of x = p r, which moves the Bessel argument and the
+    phase; 1 + m* measures the cancellation in c J + x J', the mismatch's
+    denominator.  The asserted constants leave a factor of 2.
+    """
+
+    def test_accuracy_envelope(self):
+        eps = 2.0 ** -53
+        rng = random.Random(27)
+        errors = {"a": [], "d": [], "m": []}
+        with mp.workdps(40):
+            for _ in range(400):
+                delta = rng.uniform(-0.5, 1.0)
+                params = CouplingParams.from_exponent(
+                    2, rng.uniform(max(delta, 0.0), 3.0), delta)
+                p, r_minus, r_plus = (10.0 ** rng.uniform(-3.0, 2.0),
+                                      10.0 ** rng.uniform(-1.0, 3.5),
+                                      10.0 ** rng.uniform(-1.0, 1.5))
+                m = match_two_body(params, p, r_minus, r_plus)
+                a, b, d, mis = _two_body_closed_forms(params, p, r_minus,
+                                                      r_plus)
+                x_minus, x_plus = 100.0 + p * r_minus, 100.0 + p * r_plus
+                env = math.sqrt(r_plus) * min(
+                    1.0, math.sqrt(2.0 / (math.pi * p * r_plus)))
+                err_a = float(max(abs(m.a - a), abs(m.b - b)) / abs(a))
+                err_d = float(abs(m.d - d)) / env
+                err_m = float(abs(m.derivative_mismatch - mis) / mis)
+                assert err_a <= 2.8 * eps * x_minus, (params, p, r_minus)
+                assert err_d <= 1.8 * eps * x_plus, (params, p, r_plus)
+                assert err_m <= 1.8 * eps * x_plus * float(1 + mis), \
+                    (params, p, r_plus)
+                errors["a"].append(err_a)
+                errors["d"].append(err_d)
+                errors["m"].append(err_m)
+        for name, errs in errors.items():
+            assert sorted(errs)[len(errs) // 2] <= 5e-16, name
 
 
 class TestNBodyMatch:
