@@ -15,8 +15,8 @@ from .errors import (CalogeroError, CouplingRangeError,
 from .model import (CouplingParams, ExponentRoots, RadialIndices, Validity,
                     classify_validity, coupling_from_exponent,
                     radial_indices, solve_nu_prime)
-from .polynomials import (LaplaceSystem, SymPolynomial,
-                          solve_generalized_laplace, ti_symmetric_basis)
+from .polynomials import (SymPolynomial, solve_generalized_laplace,
+                          ti_symmetric_basis)
 from .scattering import (ScanSummary, ScatteringMatch, TransmissionSweep,
                          TrendSummary, WronskianReport, m22_status,
                          match_n_body, match_two_body, sample_momenta,

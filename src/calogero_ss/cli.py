@@ -44,15 +44,11 @@ PLOT_COLUMNS = {"R": "reflection", "T": "transmission",
                 "deriv_mismatch": "derivative_mismatch"}
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # exit 2 is reserved for invalid couplings; argparse's default error
     # path would exit 2 on usage problems, so route those to exit 1
     def error(self, message):
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def finite(text: str) -> float:
@@ -79,9 +75,9 @@ def _params_from_args(args) -> CouplingParams:
     has_g = getattr(args, "g", None) is not None
     has_nu = getattr(args, "nu_prime", None) is not None
     if has_g == has_nu:
-        raise UsageError("give exactly one of --g / --nu-prime")
+        raise DomainError("give exactly one of --g / --nu-prime")
     if args.delta is None:
-        raise UsageError("--delta is required")
+        raise DomainError("--delta is required")
     if has_g:
         params = CouplingParams.from_coupling(args.n, args.g, args.delta)
     else:
@@ -124,7 +120,7 @@ def _csv_document(metadata: dict[str, str], header: str,
 
 def cmd_nu_prime(args) -> int:
     if args.g is None or args.delta is None:
-        raise UsageError("nu-prime needs --g and --delta")
+        raise DomainError("nu-prime needs --g and --delta")
     sol = solve_nu_prime(args.g, args.delta)
     if sol.validity is Validity.INVALID:
         raise CouplingRangeError(
@@ -145,7 +141,7 @@ def cmd_scan(args) -> int:
         # min_w_magnitude is |M22| times the pairing factor, with M22 = 1
         min_factor = f"{rep.min_pair_factor:.17e}"
         rows.append(f"{idx},{rep.pset.p:.17e},{min_factor},{min_factor},"
-                    f"{rep.m22_status},"
+                    f"{summary.m22_status},"
                     f"{'true' if rep.ss_verdict else 'false'}")
     metadata = _convention_metadata()
     metadata.update({
@@ -179,7 +175,7 @@ def _coeffs_row(p: float, m: ScatteringMatch) -> str:
 def cmd_coeffs(args) -> int:
     params = _params_from_args(args)
     if args.p is None:
-        raise UsageError("coeffs needs --p > 0")
+        raise DomainError("coeffs needs --p > 0")
     metadata = _convention_metadata()
     metadata.update({"n": str(args.n), "p": _f17(args.p),
                      "r_minus": _f17(args.r_minus),
@@ -198,10 +194,10 @@ def cmd_coeffs(args) -> int:
 
 def _grid(start: float, stop: float, steps: int, log: bool) -> list[float]:
     if steps < 1:
-        raise UsageError("--steps must be >= 1")
+        raise DomainError("--steps must be >= 1")
     if steps == 1:
         if start != stop:
-            raise UsageError("--steps 1 needs --from equal to --to")
+            raise DomainError("--steps 1 needs --from equal to --to")
         return [start]
     if log:
         la, lb = math.log(start), math.log(stop)
@@ -214,8 +210,8 @@ def cmd_sweep(args) -> int:
     params = _params_from_args(args)
     grid = _grid(getattr(args, "from_"), args.to, args.steps, args.log)
     if args.plot is not None and len(grid) < 2:
-        raise UsageError("--plot needs at least two points (--steps 2 or "
-                         "more)")
+        raise DomainError("--plot needs at least two points (--steps 2 or "
+                          "more)")
     param = args.param.replace("-", "_")
     sweep = transmission_sweep(params, param, grid, p=args.p,
                                r_minus=args.r_minus, r_plus=args.r_plus,
@@ -225,8 +221,8 @@ def cmd_sweep(args) -> int:
         field = PLOT_COLUMNS[args.plot_column]
         series = [_or_nan(getattr(m, field)) for _, m in sweep.rows]
         if any(math.isnan(v) for v in series):
-            raise UsageError(f"column {args.plot_column} is undefined for "
-                             "this sweep")
+            raise DomainError(f"column {args.plot_column} is undefined for "
+                              "this sweep")
     rows = [_coeffs_row(v if param == "p" else args.p, m)
             for v, m in sweep.rows]
     metadata = _convention_metadata()
@@ -285,22 +281,22 @@ def _read_configs(path: str) -> list[tuple[float, ...]]:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
-        raise UsageError(f"malformed configs file: {err}") from None
+        raise DomainError(f"malformed configs file: {err}") from None
     rows = doc.get("configs") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(
                 isinstance(c, (int, float)) and not isinstance(c, bool)
                 for c in row)
             for row in rows):
-        raise UsageError('configs file must hold {"configs": '
-                         '[[x1, ..., xN], ...]} with numeric coordinates')
+        raise DomainError('configs file must hold {"configs": '
+                          '[[x1, ..., xN], ...]} with numeric coordinates')
     return [tuple(float(c) for c in row) for row in rows]
 
 
 def cmd_residual(args) -> int:
     params = _params_from_args(args)
     if args.p is None:
-        raise UsageError("residual needs --p > 0")
+        raise DomainError("residual needs --p > 0")
     if args.configs is not None:
         samples = _read_configs(args.configs)
     else:
@@ -330,14 +326,14 @@ def cmd_polys(args) -> int:
     try:
         lam = Fraction(args.lam)
     except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"bad --lambda value: {err}") from None
-    system = solve_generalized_laplace(args.n, args.k, lam)
+        raise DomainError(f"bad --lambda value: {err}") from None
+    solutions = solve_generalized_laplace(args.n, args.k, lam)
     basis = []
-    for sol in system.solutions:
+    for sol in solutions:
         basis.append({_partition_key(mon): str(coeff)
                       for mon, coeff in sol.ordered_items()})
     doc = {"n": args.n, "k": args.k, "lambda": str(lam),
-           "dimension": system.nullspace_dim, "basis": basis}
+           "dimension": len(solutions), "basis": basis}
     print(json.dumps(doc))
     return EXIT_OK
 
@@ -435,7 +431,7 @@ def build_parser() -> _Parser:
 
 
 def _config_value(action: argparse.Action, key: str, value):
-    """A config value as its option would parse it, or a UsageError.
+    """A config value as its option would parse it, or a DomainError.
 
     Flags take JSON booleans; every other option takes a JSON string or
     number, passed through the option's type and checked against its
@@ -444,20 +440,20 @@ def _config_value(action: argparse.Action, key: str, value):
     shown = json.dumps(value)
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(value, bool):
-            raise UsageError(f"config key {key!r} takes true or false, "
-                             f"got {shown}")
+            raise DomainError(f"config key {key!r} takes true or false, "
+                              f"got {shown}")
         return value
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise UsageError(f"config key {key!r} takes a string or a number, "
-                         f"got {shown}")
+        raise DomainError(f"config key {key!r} takes a string or a number, "
+                          f"got {shown}")
     try:
         parsed = action.type(str(value)) if action.type else str(value)
     except ValueError:
-        raise UsageError(f"config key {key!r}: invalid "
-                         f"{action.type.__name__} value {shown}") from None
+        raise DomainError(f"config key {key!r}: invalid "
+                          f"{action.type.__name__} value {shown}") from None
     if action.choices is not None and parsed not in action.choices:
-        raise UsageError(f"config key {key!r}: {shown} is not one of "
-                         + ", ".join(action.choices))
+        raise DomainError(f"config key {key!r}: {shown} is not one of "
+                          + ", ".join(action.choices))
     return parsed
 
 
@@ -467,9 +463,9 @@ def _apply_config(parser: _Parser, path: str) -> None:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
-        raise UsageError(f"malformed config file: {err}") from None
+        raise DomainError(f"malformed config file: {err}") from None
     if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise DomainError("config file must hold a JSON object")
     # apply to every subparser that knows the key; unknown keys are errors
     subs = [a for a in parser._subparsers._group_actions
             if isinstance(a, argparse._SubParsersAction)][0]
@@ -480,7 +476,7 @@ def _apply_config(parser: _Parser, path: str) -> None:
                   and isinstance(action, (argparse._StoreAction,
                                           argparse._StoreTrueAction))]
         if not owners:
-            raise UsageError(f"unknown config key {key!r}")
+            raise DomainError(f"unknown config key {key!r}")
         for sub, action in owners:
             sub.set_defaults(**{dest: _config_value(action, key, value)})
 
@@ -500,9 +496,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         del parser
         gc.collect(1)
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except CouplingRangeError as err:
         print(f"invalid couplings: {err}", file=sys.stderr)
         return EXIT_COUPLINGS

@@ -126,12 +126,10 @@ class CouplingParams(_CouplingFields):
 class RadialIndices(NamedTuple):
     """Derived indices of the radial problem at polynomial degree k.
 
-    b' fixes the Bessel order, A' = b' - k the asymptotic envelope power,
-    n' the momentum scaling and c the two-body exponent nu' - b'.
+    b' fixes the Bessel order (b' - k is the same at every k), n' the
+    momentum scaling and c the two-body exponent nu' - b'.
     """
-    k: int
     b_prime: float
-    a_prime: float
     n_prime: float
     c: float
 
@@ -144,8 +142,8 @@ def radial_indices(params: CouplingParams, k: int) -> RadialIndices:
     pairs = n * (n - 1) / 2.0
     b_prime = (n - 3) / 2.0 + k + (params.nu_prime - params.delta) * pairs
     n_prime = (3 - n) / 2.0 + pairs * params.delta
-    return RadialIndices(k=k, b_prime=b_prime, a_prime=b_prime - k,
-                         n_prime=n_prime, c=params.nu_prime - b_prime)
+    return RadialIndices(b_prime=b_prime, n_prime=n_prime,
+                         c=params.nu_prime - b_prime)
 
 
 # --- finite-difference Hamiltonian stencil -----------------------------------

@@ -253,34 +253,23 @@ def _primitive_normalize(poly: SymPolynomial) -> SymPolynomial:
                          {m: c * scale for m, c in poly.power_sums.items()})
 
 
-class LaplaceSystem(NamedTuple):
-    """Constraint system of the generalized Laplace equation at (N, k)."""
-    n_vars: int
-    degree: int
-    lam: Fraction
-    basis: tuple[SymPolynomial, ...]
-    constraint_matrix: tuple[tuple[Fraction, ...], ...]
-    nullspace_dim: int
-    solutions: tuple[SymPolynomial, ...]
-
-
 def solve_generalized_laplace(n_vars: int, degree: int, lam
-                              ) -> LaplaceSystem:
-    """Exact nullspace of L on the degree-k translation-invariant space.
+                              ) -> tuple[SymPolynomial, ...]:
+    """Exact nullspace basis of L on the degree-k translation-invariant
+    space, each solution scaled by _primitive_normalize.
 
     lam is anything Fraction takes (a Fraction, int, float or str); a
-    float counts as its exact binary value.
+    float counts as its exact binary value.  The constraint rows are taken
+    in any order: the reduced echelon form, and so the basis, is unique.
     """
     lam_f = Fraction(lam)
     basis = ti_symmetric_basis(n_vars, degree)
     images = [_monomial_form(_laplace_image(b, lam_f), n_vars)
               for b in basis]
-    row_keys = sorted({m for img in images for m in img},
-                      key=partition_order_key, reverse=True)
-    matrix = [[img.get(mk, Fraction(0)) for img in images] for mk in row_keys]
-    null = _nullspace(matrix, len(basis))
+    matrix = [[img.get(mk, Fraction(0)) for img in images]
+              for mk in {m for img in images for m in img}]
     solutions = []
-    for vec in null:
+    for vec in _nullspace(matrix, len(basis)):
         combo: dict[Partition, Fraction] = {}
         for coeff, b in zip(vec, basis):
             for m, c in b.power_sums.items():
@@ -288,10 +277,7 @@ def solve_generalized_laplace(n_vars: int, degree: int, lam
         combo = {m: c for m, c in combo.items() if c != 0}
         solutions.append(_primitive_normalize(
             SymPolynomial(n_vars, degree, combo)))
-    return LaplaceSystem(
-        n_vars=n_vars, degree=degree, lam=lam_f, basis=tuple(basis),
-        constraint_matrix=tuple(tuple(row) for row in matrix),
-        nullspace_dim=len(null), solutions=tuple(solutions))
+    return tuple(solutions)
 
 
 def float_evaluator(poly: SymPolynomial) -> Callable[[Sequence], float]:

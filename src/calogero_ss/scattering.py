@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from itertools import repeat
 from operator import attrgetter, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
@@ -86,24 +85,23 @@ class WronskianReport(NamedTuple):
     pset: MomentumSet
     pair_factors: tuple[float, ...]
     min_pair_factor: float
-    m22_status: str
     ss_verdict: bool
 
 
-def wronskian_report(pset: MomentumSet,
-                     m22_status: str = M22_FINITE_NONZERO) -> WronskianReport:
+def wronskian_report(pset: MomentumSet) -> WronskianReport:
     """Pairing factors p_i - p_(N+1-i), one per direction i, and verdict."""
     ms = pset.momenta
     factors = tuple(map(sub, ms, ms[::-1]))
     return WronskianReport(pset, factors,
                            min(map(abs, factors[:len(ms) // 2])),
-                           m22_status, factors[0] == 0.0)
+                           factors[0] == 0.0)
 
 
 class ScanSummary(NamedTuple):
     reports: tuple[WronskianReport, ...]
     min_pair_factor: float     # min over samples of the report minima
     ss_count: int
+    m22_status: str            # transfer_status, one per scan
 
 
 def ss_scan(params: CouplingParams, p_min: float, p_max: float, seed: int,
@@ -121,11 +119,13 @@ def ss_scan(params: CouplingParams, p_min: float, p_max: float, seed: int,
     n, rng = params.n_particles, random.Random(seed)
     psets = [sample_momenta(n, rng, rng.uniform(p_min, p_max))
              for _ in range(n_samples)]
-    reports = tuple(map(wronskian_report, psets, repeat(status)))
-    return ScanSummary(reports,
-                       min(map(attrgetter("min_pair_factor"), reports),
-                           default=math.inf),
-                       sum(map(attrgetter("ss_verdict"), reports)))
+    reports = tuple(map(wronskian_report, psets))
+    min_factor = min(map(attrgetter("min_pair_factor"), reports),
+                     default=math.inf)
+    if min_factor == 0.0:  # p > 0, so only an underflow can give 0
+        raise NumericalFailureError(f"momenta underflowed at p <= {p_max}")
+    return ScanSummary(reports, min_factor,
+                       sum(map(attrgetter("ss_verdict"), reports)), status)
 
 
 # --- boundary matching --------------------------------------------------------

@@ -129,8 +129,7 @@ def radial_solution(r: float, p: float, b_prime: float) -> float:
 @lru_cache(maxsize=256)
 def _laplace_solutions_cached(n_vars: int, degree: int, lam: Fraction
                               ) -> tuple[SymPolynomial, ...]:
-    return polynomials.solve_generalized_laplace(n_vars, degree,
-                                                 lam).solutions
+    return polynomials.solve_generalized_laplace(n_vars, degree, lam)
 
 
 def laplace_solutions(params: CouplingParams, k: int

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from calogero_ss._sums import lsum
 from calogero_ss.errors import DomainError, SingularConfigurationError
-from calogero_ss.scattering import M22_FINITE_NONZERO, WronskianReport
+from calogero_ss.scattering import WronskianReport
 from calogero_ss.model import (CouplingParams, radial_indices,
                                stencil_values, terms_from_stencil)
 from calogero_ss.polynomials import (SymPolynomial, _centred_sum,
@@ -166,7 +166,7 @@ def asymptotic_wave(x, p: float,
                 f"(degree {ch.k})")
     idx0 = radial_indices(params, 0)
     envelope = (2.0 * math.pi * r) ** -0.5 * p ** (idx0.n_prime - 0.5) \
-        * ground_state(coords, params.nu_prime) * r ** (-idx0.a_prime)
+        * ground_state(coords, params.nu_prime) * r ** (-idx0.b_prime)
     total = 0j
     for ch in channels:
         phase = cmath.exp(sign * 1j * (ch.b_prime + 0.5) * math.pi / 2.0
@@ -288,15 +288,13 @@ def pair_factors(pset: MomentumSet) -> tuple[float, ...]:
     return tuple(ms[i] - ms[n - 1 - i] for i in range(n))
 
 
-def wronskian_report(pset: MomentumSet,
-                     m22_status: str = M22_FINITE_NONZERO) -> WronskianReport:
+def wronskian_report(pset: MomentumSet) -> WronskianReport:
     """The report with the live minimum over every non-self-paired i."""
     factors = pair_factors(pset)
     n = len(factors)
     live = [abs(factors[i]) for i in range(n) if i != n - 1 - i]
     return WronskianReport(pset=pset, pair_factors=factors,
                            min_pair_factor=min(live),
-                           m22_status=m22_status,
                            ss_verdict=factors[0] == 0.0)
 
 

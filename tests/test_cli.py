@@ -15,7 +15,6 @@ import calogero_ss.wavefunction as wavefunction
 from calogero_ss.cli import (COEFFS_HEADER, EXIT_CHECK_FAILED,
                              EXIT_COUPLINGS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                              EXIT_SS_FOUND, EXIT_USAGE, SCAN_HEADER, main)
-from calogero_ss.scattering import ScanSummary
 
 
 def run(capsys, *argv):
@@ -91,13 +90,9 @@ class TestScan:
 
         def fake(params, p_min, p_max, seed, n_samples):
             summary = real(params, p_min, p_max, seed, n_samples)
-            reports = tuple(
-                r.__class__(pset=r.pset, pair_factors=r.pair_factors,
-                            min_pair_factor=r.min_pair_factor,
-                            m22_status=r.m22_status, ss_verdict=True)
-                for r in summary.reports)
-            return ScanSummary(reports, summary.min_pair_factor,
-                               len(reports))
+            reports = tuple(r._replace(ss_verdict=True)
+                            for r in summary.reports)
+            return summary._replace(reports=reports, ss_count=len(reports))
 
         monkeypatch.setattr(cli, "ss_scan", fake)
         code, _, _ = run(capsys, "scan", "--n", "2", "--samples", "3",

@@ -126,3 +126,32 @@ def test_scan(capsys, tmp_path):
             assert p_min * (1 - 1e-12) <= p <= p_max * (1 + 1e-12), (argv, p)
             assert 0.0 < factor < math.inf, (argv, factor)
     assert codes == {EXIT_OK}
+
+
+def test_scan_subnormal(capsys, tmp_path):
+    # momenta of subnormal magnitude can round to ties or to 0: a live
+    # pairing factor of 0 is refused as a numerical failure, never
+    # reported as a zero factor or as a spectral singularity
+    rng = random.Random(2804)
+    out_file = tmp_path / "scan.csv"
+    codes = set()
+    for _ in range(DRAWS):
+        p_min, p_max = sorted(10.0 ** rng.uniform(-323.3, -300.0)
+                              for _ in range(2))
+        argv = ["scan", "--n", str(rng.randint(2, 6)), "--samples", "20",
+                "--p-min", repr(p_min), "--p-max", repr(p_max),
+                "--seed", str(rng.randint(0, 99)), "--out", str(out_file)]
+        code, out, err = _run(capsys, argv)
+        codes.add(code)
+        if code != EXIT_OK:
+            assert code == EXIT_NUMERICAL, (argv, code, err)
+            _check_refusal(argv, code, out, err)
+            assert not out_file.exists(), argv
+            continue
+        rows = [line.split(",") for line in out_file.read_text().splitlines()
+                if not line.startswith(("#", "sample"))]
+        assert len(rows) == 20, argv
+        for row in rows:
+            assert float(row[1]) > 0.0 and float(row[2]) > 0.0, (argv, row)
+        out_file.unlink()
+    assert codes == {EXIT_OK, EXIT_NUMERICAL}

@@ -137,8 +137,7 @@ class TestRadialIndices:
     def test_two_body_direct(self):
         p = CouplingParams.from_exponent(2, 1.0, 0.0)
         idx = radial_indices(p, 0)
-        assert idx.b_prime == pytest.approx(0.5)
-        assert idx.a_prime == pytest.approx(0.5)
+        assert idx.b_prime == pytest.approx(0.5)  # A' = b' - k = b' at k = 0
         assert idx.n_prime == pytest.approx(0.5)
         assert idx.c == pytest.approx(0.5)
 
@@ -157,8 +156,9 @@ class TestRadialIndices:
     def test_a_prime_plus_k(self):
         p = CouplingParams.from_exponent(4, 1.5, 0.25)
         for k in range(5):
-            idx = radial_indices(p, k)
-            assert idx.a_prime + k == pytest.approx(idx.b_prime, abs=1e-14)
+            # A' = b' - k is the same at every k
+            assert radial_indices(p, k).b_prime - k == pytest.approx(
+                radial_indices(p, 0).b_prime, abs=1e-14)
 
 
 def gaussian(x):

@@ -10,14 +10,14 @@ from expanded_oracle import (_compress_symmetric, apply_laplace_operator,
 from oracles import evaluate_poly
 
 from calogero_ss.errors import DomainError, ResourceLimitError
-from calogero_ss.polynomials import (_partitions_min2, float_evaluator,
-                                     partition_order_key,
+from calogero_ss.polynomials import (_laplace_image, _monomial_form,
+                                     _partitions_min2, float_evaluator,
                                      solve_generalized_laplace,
                                      ti_symmetric_basis)
 
 
 def nullspace_dims(n, k):
-    return {solve_generalized_laplace(n, k, lam).nullspace_dim
+    return {len(solve_generalized_laplace(n, k, lam))
             for lam in GENERIC_LAMBDAS}
 
 
@@ -73,35 +73,31 @@ class TestBasis:
 class TestGeneralizedLaplace:
     def test_degree_zero_always_solution(self):
         for lam in [Fraction(7, 10), Fraction(-3, 2), Fraction(0)]:
-            sys = solve_generalized_laplace(4, 0, lam)
-            assert sys.nullspace_dim == 1
-            assert sys.solutions[0].coefficients == {(0, 0, 0, 0): Fraction(1)}
+            sols = solve_generalized_laplace(4, 0, lam)
+            assert len(sols) == 1
+            assert sols[0].coefficients == {(0, 0, 0, 0): Fraction(1)}
 
     def test_two_vars_quadratic_constraint(self):
         # Sole candidate is r^2; constraint 2 + 4 lambda (for p_2(y)).
-        sys = solve_generalized_laplace(2, 2, Fraction(7, 10))
-        assert sys.nullspace_dim == 0
+        assert len(solve_generalized_laplace(2, 2, Fraction(7, 10))) == 0
         # dimension jumps exactly at lambda = -1/2
-        assert solve_generalized_laplace(2, 2, Fraction(-1, 2)).nullspace_dim == 1
+        assert len(solve_generalized_laplace(2, 2, Fraction(-1, 2))) == 1
 
     def test_three_vars_quadratic(self):
         # constraint 2(N-1)(1 + lambda N) = 4(1 + 3 lambda) != 0 generically
-        assert solve_generalized_laplace(3, 2, Fraction(7, 10)).nullspace_dim == 0
-        assert solve_generalized_laplace(3, 2, Fraction(-1, 3)).nullspace_dim == 1
+        assert len(solve_generalized_laplace(3, 2, Fraction(7, 10))) == 0
+        assert len(solve_generalized_laplace(3, 2, Fraction(-1, 3))) == 1
 
     def test_three_vars_cubic_identity_solution(self):
         # p_3(y) is annihilated identically: dimension 1 for every lambda.
         for lam in [Fraction(7, 10), Fraction(13, 9), Fraction(5)]:
-            sys = solve_generalized_laplace(3, 3, lam)
-            assert sys.nullspace_dim == 1
-            sol = sys.solutions[0]
+            (sol,) = solve_generalized_laplace(3, 3, lam)
             assert apply_laplace_operator(expand(sol), 3, lam) == {}
 
     def test_solutions_satisfy_equation_exactly(self):
         for n, k in [(4, 3), (4, 4), (3, 6), (4, 6), (5, 5)]:
             for lam in GENERIC_LAMBDAS:
-                sys = solve_generalized_laplace(n, k, lam)
-                for sol in sys.solutions:
+                for sol in solve_generalized_laplace(n, k, lam):
                     assert apply_laplace_operator(expand(sol), n, lam) == {}
                     assert translation_defect(sol) == {}
                     assert euler_defect(sol) == {}
@@ -116,9 +112,11 @@ class TestGeneralizedLaplace:
 
     def test_float_lambda_exact(self):
         # float lambda is converted to its exact binary rational
-        sys = solve_generalized_laplace(3, 3, 1.5)
-        assert sys.lam == Fraction(3, 2)
-        assert sys.nullspace_dim == 1
+        sols = solve_generalized_laplace(3, 3, 1.5)
+        assert sols == solve_generalized_laplace(3, 3, Fraction(3, 2))
+        assert len(sols) == 1
+        # the double nearest -1/3 is not -1/3, where the dimension jumps
+        assert len(solve_generalized_laplace(3, 2, -1 / 3)) == 0
 
 
 class TestDegeneracy:
@@ -132,7 +130,7 @@ class TestDegeneracy:
                                (3, 3, Fraction(7, 10), 1),
                                (4, 0, Fraction(13, 9), 1),
                                (4, 1, Fraction(13, 9), 0)]:
-            assert solve_generalized_laplace(n, k, lam).nullspace_dim == dim
+            assert len(solve_generalized_laplace(n, k, lam)) == dim
 
     def test_counting_rule(self):
         # Generic dimension = partitions(k; parts 2..N) - partitions(k-2),
@@ -165,7 +163,7 @@ class TestEvaluate:
         assert float_evaluator(one)((5.0, 2.0, -1.0)) == 1.0
 
     def test_cubic_odd_sample(self):
-        p3 = solve_generalized_laplace(3, 3, Fraction(7, 10)).solutions[0]
+        p3 = solve_generalized_laplace(3, 3, Fraction(7, 10))[0]
         # y = (1, 0, -1): odd symmetry kills the value
         assert evaluate_poly(p3, (2, 1, 0)) == 0
 
@@ -174,18 +172,18 @@ class TestEvaluate:
         raw_p3 = ti_symmetric_basis(3, 3)[0]
         assert evaluate_poly(raw_p3, (Fraction(3), Fraction(0), Fraction(0))) == 6
         # the normalized nullspace solution is a positive integer multiple
-        sol = solve_generalized_laplace(3, 3, Fraction(7, 10)).solutions[0]
+        sol = solve_generalized_laplace(3, 3, Fraction(7, 10))[0]
         val = evaluate_poly(sol, (Fraction(3), Fraction(0), Fraction(0)))
         assert val > 0 and val % 6 == 0
 
     def test_translation_invariance_numeric(self):
-        p3 = solve_generalized_laplace(3, 3, Fraction(7, 10)).solutions[0]
+        p3 = solve_generalized_laplace(3, 3, Fraction(7, 10))[0]
         a = float_evaluator(p3)((3.0, 1.0, 0.5))
         b = float_evaluator(p3)((3.0 + 10.0, 1.0 + 10.0, 0.5 + 10.0))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_exact_rational_path(self):
-        p3 = solve_generalized_laplace(3, 3, Fraction(7, 10)).solutions[0]
+        p3 = solve_generalized_laplace(3, 3, Fraction(7, 10))[0]
         v = evaluate_poly(p3, (Fraction(1, 3), Fraction(0), Fraction(-1, 3)))
         assert isinstance(v, Fraction)
         assert v == 0  # odd sample again
@@ -204,19 +202,15 @@ class TestExpandedOracle:
     @pytest.mark.parametrize("lam", [Fraction(7, 10), Fraction(0.3)])
     def test_basis_matrix_and_values(self, n, k, lam):
         expected = dict(zip(_partitions_min2(k), expanded_candidates(n, k)))
-        system = solve_generalized_laplace(n, k, lam)
-        for b in system.basis:
+        for b in ti_symmetric_basis(n, k):
             (partition,) = b.power_sums
             assert b.coefficients == expected[partition]
-        images = [_compress_symmetric(
-            apply_laplace_operator(expand(b), n, lam), n)
-            for b in system.basis]
-        rows = sorted({m for img in images for m in img},
-                      key=partition_order_key, reverse=True)
-        assert system.constraint_matrix == tuple(
-            tuple(img.get(m, Fraction(0)) for img in images) for m in rows)
+            # the constraint column of b: its image under L, monomial form
+            assert _monomial_form(_laplace_image(b, lam), n) == \
+                _compress_symmetric(apply_laplace_operator(expand(b), n, lam),
+                                    n)
         x = [Fraction(3 * j * j - 7 * j, j + 2) for j in range(n)]
-        for sol in system.solutions:
+        for sol in solve_generalized_laplace(n, k, lam):
             direct = Fraction(0)
             for mon, c in expand(sol).items():
                 term = c

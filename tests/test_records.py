@@ -5,7 +5,7 @@ import pytest
 from oracles import JostPair
 
 from calogero_ss.model import CouplingParams, ExponentRoots, RadialIndices
-from calogero_ss.polynomials import LaplaceSystem, SymPolynomial
+from calogero_ss.polynomials import SymPolynomial
 from calogero_ss.scattering import (ScanSummary, ScatteringMatch,
                                     TransmissionSweep, TrendSummary,
                                     WronskianReport)
@@ -14,16 +14,14 @@ from calogero_ss.wavefunction import MomentumSet, _Channel
 RECORDS = [
     (ExponentRoots, ("roots", "selected", "validity")),
     (CouplingParams, ("n_particles", "g", "delta", "nu_prime")),
-    (RadialIndices, ("k", "b_prime", "a_prime", "n_prime", "c")),
+    (RadialIndices, ("b_prime", "n_prime", "c")),
     (SymPolynomial, ("n_vars", "degree", "power_sums")),
-    (LaplaceSystem, ("n_vars", "degree", "lam", "basis", "constraint_matrix",
-                     "nullspace_dim", "solutions")),
     (MomentumSet, ("momenta", "p")),
     (_Channel, ("k", "b_prime", "poly", "coeff")),
     (JostPair, ("pset", "phi", "m12", "m22")),
     (WronskianReport, ("pset", "pair_factors", "min_pair_factor",
-                       "m22_status", "ss_verdict")),
-    (ScanSummary, ("reports", "min_pair_factor", "ss_count")),
+                       "ss_verdict")),
+    (ScanSummary, ("reports", "min_pair_factor", "ss_count", "m22_status")),
     (ScatteringMatch, ("r_minus", "r_plus", "a", "b", "d", "reflection",
                        "transmission", "derivative_mismatch")),
     (TrendSummary, ("fitted_slope", "envelope_first", "envelope_last",

@@ -165,8 +165,7 @@ class TestScan:
         assert len(summary.reports) == 500
         assert summary.ss_count == 0
         assert summary.min_pair_factor > 0.0
-        assert all(r.m22_status == M22_FINITE_NONZERO
-                   for r in summary.reports)
+        assert summary.m22_status == M22_FINITE_NONZERO
 
     def test_middle_direction_reported_not_decisive(self):
         pset = MomentumSet.from_momenta((-1.0, 0.0, 1.0))
@@ -245,13 +244,12 @@ class TestPerSampleReference:
             assert rng_new.getstate() == rng_old.getstate()
             assert _bits(new.momenta) + _bits([new.p]) == \
                 _bits(old.momenta) + _bits([old.p])
-            rep = wronskian_report(new, M22_DIVERGENT)
-            ref = oracles.wronskian_report(old, M22_DIVERGENT)
+            rep = wronskian_report(new)
+            ref = oracles.wronskian_report(old)
             assert _bits(rep.pair_factors) == _bits(ref.pair_factors)
             assert _bits([rep.min_pair_factor]) == _bits(
                 [ref.min_pair_factor])
-            assert (rep.m22_status, rep.ss_verdict) == (
-                ref.m22_status, ref.ss_verdict)
+            assert rep.ss_verdict == ref.ss_verdict
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_zero_momenta_match(self, n):

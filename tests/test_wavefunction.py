@@ -406,7 +406,7 @@ class TestAsymptoticWave:
         p = 1.0
         coeffs = {(0, 1): 1.0}
         idx = radial_indices(params, 0)
-        expected = -0.5 - idx.a_prime - 0 + params.nu_prime * 1.0
+        expected = -0.5 - idx.b_prime - 0 + params.nu_prime * 1.0
         logs = []
         for r in (500.0, 800.0, 1300.0):
             x = (r / math.sqrt(2.0), -r / math.sqrt(2.0))
